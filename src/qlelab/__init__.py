@@ -16,11 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "embedding": ["WeylSolution", "embedding_residual", "metric_gauss_curvature",
                   "solve_weyl"],
-    "energy": ["BoostVector", "EnergyReport", "FourVectorW", "PhiInput",
-               "bound_constant_C", "classify_causal", "dphi_dt", "e_tilde_rho_omega",
-               "energy_bounds", "liu_yau_mass", "minkowski_dot",
-               "momentum_four_vector", "phi", "synthetic_surface_data", "tau",
-               "wang_yau_energy"],
+    "energy": ["BoostVector", "EnergyReport", "FourVectorW", "PhiInput", "bound_constant_C",
+               "classify_causal", "dphi_dt", "e_tilde", "e_tilde_rho_omega", "e_tilde_tau",
+               "energy_bounds", "liu_yau_mass", "minkowski_dot", "momentum_four_vector",
+               "phi", "synthetic_surface_data", "tau", "wang_yau_energy"],
     "errors": ["ConfigError", "ConvergenceError", "GridMismatchError",
                "InvalidArgumentError", "NotConvexError", "NotSpacelikeError",
                "NumericalDomainError", "QlelabError", "SingularMetricError",

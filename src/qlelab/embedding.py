@@ -49,21 +49,6 @@ def embedding_residual(surface: EmbeddedSurface, h: InducedMetric) -> float:
                      np.abs(hs.pp - h.pp).max()))
 
 
-_SECOND_BASIS_CACHE: dict[int, tuple] = {}
-
-
-def _second_bases(grid: SphereGrid):
-    """(Ytt, Ytp, Ypp) synthesis matrices at the grid's working degree."""
-    key = grid.band_limit
-    if key not in _SECOND_BASIS_CACHE:
-        from .harmonics import dphi_matrix, real_sh_basis
-        _, Yt, _, Ytt = real_sh_basis(grid.theta, grid.phi, grid.work_degree, second=True)
-        Ytp = dphi_matrix(Yt, grid.work_degree)
-        Ypp = dphi_matrix(grid.Yp, grid.work_degree)
-        _SECOND_BASIS_CACHE[key] = (Ytt, Ytp, Ypp)
-    return _SECOND_BASIS_CACHE[key]
-
-
 def _nhat_derivatives(grid: SphereGrid):
     """Analytic derivatives of the unit-sphere embedding up to third order.
 
@@ -103,7 +88,7 @@ def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
     smooth metric; used as the convexity precondition of the solver.
     """
     g = h.grid
-    Ytt, Ytp, Ypp = _second_bases(g)
+    Ytt, Ytp, Ypp = g.second_bases
     dn = _nhat_derivatives(g)
     inv_s2 = 1.0 / g.sin_theta ** 2
 
@@ -181,21 +166,24 @@ def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
     return (det1 - det2) / h.det ** 2
 
 
-def _gauge_normalize(grid: SphereGrid, X: np.ndarray) -> np.ndarray:
-    """Proper orientation, centering, Procrustes alignment to the round sphere."""
-    S = surface_geometry(grid, X)
-    if np.mean(S.k0) < 0.0:
-        X = X * np.array([1.0, 1.0, -1.0])
-        S = surface_geometry(grid, X)
-    dv = grid.weights * S.metric.mu
-    area = dv.sum()
-    X = X - (dv @ X)[None, :] / area
+def _gauge_normalize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Proper orientation, centering, Procrustes alignment to the round sphere.
 
-    nhat = grid.nhat()
-    B = (X * dv[:, None]).T @ nhat
+    Acts on the (n_coef, 3) coefficients: a column sign flip, a shift of the
+    l = 0 row and a rotation commute with synthesis, so nothing is re-analysed.
+    """
+    X = grid.synthesis(coeffs)
+    cross = np.cross(*grid.synth_deriv(coeffs))
+    volume = grid.weights @ (np.einsum("ni,ni->n", X, cross) / grid.sin_theta)
+    flip = np.array([1.0, 1.0, 1.0 if volume >= 0.0 else -1.0])   # outward normals
+    coeffs, X = coeffs * flip, X * flip
+    dv = grid.weights * np.linalg.norm(cross, axis=1) / grid.sin_theta
+    center = (dv @ X) / dv.sum()
+    coeffs[0] -= center * np.sqrt(4.0 * np.pi)      # Y_00 = 1/sqrt(4 pi)
+    B = ((X - center) * dv[:, None]).T @ grid.nhat()
     U, _, Vt = np.linalg.svd(B)
     Q = (Vt.T * np.array([1.0, 1.0, np.linalg.det(Vt.T @ U.T)])) @ U.T
-    return X @ Q.T
+    return coeffs @ Q.T
 
 
 def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
@@ -290,8 +278,7 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
             best = (sup, coeffs)
 
     residual_scaled = float(best[0])
-    X_final = _gauge_normalize(grid, grid.synthesis(best[1]) * s)
-    surface = surface_geometry(grid, X_final)
+    surface = surface_geometry(grid, coeffs=_gauge_normalize(grid, best[1] * s))
     residual = embedding_residual(surface, h)
     converged = residual_scaled <= tol
     solution = WeylSolution(surface=surface, residual=residual,

@@ -21,9 +21,12 @@ Writing a = rho * omega gives the equivalent pointwise form
     f = rho p / sqrt(1 + rho^2 q^2),
     B = sqrt(1+rho^2) (1 - sqrt(t^2+f^2)/sqrt(1+f^2)),
     F = rho p (asinh(f/t) - asinh(f)),
-    Etilde(rho, omega) = (1/8pi) int k0 (B + F) dv,
+    Etilde(rho, omega) = (1/8pi) int k0 (B + F) dv.
 
-used here as an independent evaluation path.  The sandwich estimate is
+On a fixed surface this is a pointwise O(n) sum: every energy evaluation
+uses it (`e_tilde`, `wang_yau_energy`, the boost search).  The tau form needs
+spectral derivatives at every boost and is kept as the independent oracle
+`e_tilde_tau`.  The sandwich estimate is
 
     -<T0, W> <= E <= -<T0, W> + C sqrt(1+|a|^2),
     W = (m_LY, V),   m_LY = (1/8pi) int (k0 - |H|) dv,
@@ -210,7 +213,26 @@ def energy_bounds(w: FourVectorW, C: float, t0: BoostVector):
 
 def wang_yau_energy(surface: EmbeddedSurface, data: SurfaceData,
                     t0: BoostVector) -> EnergyReport:
-    """Full energy evaluation through the direct (tau-based) path.
+    """Full energy evaluation, with Etilde from the pointwise (rho, omega) form."""
+    e_t = e_tilde(surface, data, t0.a)
+    w = momentum_four_vector(surface, data)
+    boost_term = -float(t0.a @ w.V)
+    E = e_t + boost_term
+    C = bound_constant_C(surface, data)
+    lower, upper = energy_bounds(w, C, t0)
+    return EnergyReport(E=E, E_tilde=e_t, boost_term=boost_term,
+                        m_ly=w.m_ly, C=C, lower=lower, upper=upper)
+
+
+def e_tilde(surface: EmbeddedSurface, data: SurfaceData, a) -> float:
+    """Etilde at boost parameter a, split into (rho, omega) for the pointwise form."""
+    a = np.asarray(a, dtype=float)
+    rho = float(np.linalg.norm(a))
+    return e_tilde_rho_omega(surface, data, rho, a / rho if rho > 0.0 else None)
+
+
+def e_tilde_tau(surface: EmbeddedSurface, data: SurfaceData, t0: BoostVector) -> float:
+    """Etilde through the direct (tau-based) path: the independent oracle.
 
     grad tau and lap tau are computed with the intrinsic spectral operators
     of the surface metric, independently of the pointwise (rho, omega)
@@ -230,15 +252,7 @@ def wang_yau_energy(surface: EmbeddedSurface, data: SurfaceData,
     A0 = _safe_sqrt(k0 ** 2 * s2 + lap ** 2, "reference root")
     AH = _safe_sqrt(kH ** 2 * s2 + lap ** 2, "physical root")
     shift = lap * (np.arcsinh(lap / (s * k0)) - np.arcsinh(lap / (s * kH)))
-    e_tilde = integrate(ScalarField(grid, A0 - AH - shift), h) / (8.0 * np.pi)
-
-    w = momentum_four_vector(surface, data)
-    boost_term = -float(t0.a @ w.V)
-    E = e_tilde + boost_term
-    C = bound_constant_C(surface, data)
-    lower, upper = energy_bounds(w, C, t0)
-    return EnergyReport(E=E, E_tilde=e_tilde, boost_term=boost_term,
-                        m_ly=w.m_ly, C=C, lower=lower, upper=upper)
+    return integrate(ScalarField(grid, A0 - AH - shift), h) / (8.0 * np.pi)
 
 
 def e_tilde_rho_omega(surface: EmbeddedSurface, data: SurfaceData,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import solve_weyl
-from .energy import (BoostVector, FourVectorW, bound_constant_C,
+from .energy import (BoostVector, FourVectorW, bound_constant_C, e_tilde,
                      momentum_four_vector, wang_yau_energy)
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, QlelabError
 from .initialdata import InitialData, SurfaceData, coordinate_sphere
 
 VALUE_TOL = 1e-8
@@ -140,7 +140,7 @@ def closed_form_infimum(w: FourVectorW, C: float) -> InfimumResult:
 
 def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
                     seed: int = 0, max_iterations: int = 400) -> InfimumResult:
-    """Simplex minimization of a -> E(Sigma, X, T0(a)).
+    """Simplex minimization of a -> E(Sigma, X, T0(a)) = Etilde(a) - <a, V>.
 
     Restarts from a0, the closed-form direction (when defined), and one
     seeded random point; the best result wins.  When W is future timelike
@@ -151,7 +151,7 @@ def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
     closed = closed_form_infimum(w, bound_constant_C(surface, data))
 
     def objective(a):
-        return wang_yau_energy(surface, data, BoostVector(a)).E
+        return e_tilde(surface, data, a) - a @ w.V
 
     starts = [np.asarray(a0, dtype=float)]
     if closed.status == STATUS_CLOSED_FORM:
@@ -172,14 +172,9 @@ def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
         if best is None or fx < best[1]:
             best = (x, fx)
 
-    status = closed.status
-    if status == STATUS_CLOSED_FORM:
-        return InfimumResult(status=status, a_star=best[0], value=float(best[1]),
-                             closed_form_value=closed.closed_form_value,
-                             iterations=total_iter, converged=all_converged)
-    return InfimumResult(status=status, a_star=best[0], value=float(best[1]),
-                         closed_form_value=None, iterations=total_iter,
-                         converged=all_converged and status != STATUS_UNBOUNDED)
+    return InfimumResult(status=closed.status, a_star=best[0], value=float(best[1]),
+                         closed_form_value=closed.closed_form_value, iterations=total_iter,
+                         converged=all_converged and closed.status != STATUS_UNBOUNDED)
 
 
 def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPLES,
@@ -192,8 +187,9 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
         eps(r) = max over the a-samples of
                  |E(a) + <T0, W_r>| / sqrt(1 + |a|^2),
 
-    the uniform gap of the sandwich estimate.  Per-radius failures are
-    recorded in the row and the sweep continues.  Rows are ordered by r.
+    the uniform gap of the sandwich estimate.  Per-radius failures (typed
+    qlelab errors, singular linear solves) are recorded in the row and the
+    sweep continues; other exceptions propagate.  Rows are ordered by r.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -206,7 +202,6 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
             S = sol.surface
             w = momentum_four_vector(S, sd)
             C = bound_constant_C(S, sd)
-            closed = closed_form_infimum(w, C)
             numeric = numeric_infimum(S, sd, seed=seed)
             eps = 0.0
             for a in a_samples:
@@ -215,10 +210,10 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
                 eps = max(eps, abs(rep.E - rep.lower) / t0.time_component)
             rows.append(SweepRow(r=r, m_ly=w.m_ly, V=w.V, causal=w.causal_type,
                                  C=C, inf_numeric=numeric.value,
-                                 inf_closed=closed.closed_form_value,
+                                 inf_closed=numeric.closed_form_value,
                                  eps_max=eps, embed_iterations=sol.iterations,
                                  embed_residual=sol.residual))
-        except Exception as exc:  # per-radius isolation by contract
+        except (QlelabError, np.linalg.LinAlgError) as exc:  # per-radius isolation
             rows.append(SweepRow(r=r, m_ly=np.nan, V=np.full(3, np.nan),
                                  causal="error", C=np.nan, inf_numeric=np.nan,
                                  inf_closed=None, eps_max=np.nan,

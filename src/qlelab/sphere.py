@@ -2,7 +2,7 @@
 
 The grid is Gauss-Legendre in colatitude times uniform in longitude, so
 quadrature against the round measure sin(th) dth dph is exact for spherical
-polynomials up to degree 2L and the nodes never touch the poles.  All
+polynomials up to degree 2L+2 and the nodes never touch the poles.  All
 differentiation goes through spherical-harmonic synthesis of *smooth
 scalars*; tangent-vector components in the (th, ph) coordinate basis are
 only ever combined algebraically, never re-expanded, which keeps every
@@ -25,12 +25,13 @@ which touches only the smooth R^3-valued components W^j.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, SingularMetricError
-from .harmonics import real_sh_basis, sh_count
+from .harmonics import dphi_matrix, real_sh_basis, sh_count
 
 DEFAULT_BAND_LIMIT = 24
 
@@ -84,6 +85,13 @@ class SphereGrid:
     @property
     def cos_theta(self) -> np.ndarray:
         return np.cos(self.theta)
+
+    @functools.cached_property
+    def second_bases(self):
+        """(Ytt, Ytp, Ypp) second-derivative synthesis matrices, built on first use."""
+        _, Yt, _, Ytt = real_sh_basis(self.theta, self.phi, self.work_degree, second=True)
+        return (_frozen(Ytt), _frozen(dphi_matrix(Yt, self.work_degree)),
+                _frozen(dphi_matrix(self.Yp, self.work_degree)))
 
     def nhat(self) -> np.ndarray:
         """Unit-sphere position vectors, shape (n, 3)."""
@@ -152,8 +160,8 @@ _GRID_CACHE: dict[int, SphereGrid] = {}
 def make_grid(band_limit: int = DEFAULT_BAND_LIMIT) -> SphereGrid:
     """Build the Gauss-Legendre x uniform grid for a given band limit.
 
-    Node count is (L+1)(2L+1); weights sum to 4 pi; quadrature is exact for
-    spherical polynomials up to degree 2L.  Deterministic and cached.
+    Node count is (L+2)(2L+3); weights sum to 4 pi; quadrature is exact for
+    spherical polynomials up to degree 2L+2.  Deterministic and cached.
     """
     if not isinstance(band_limit, (int, np.integer)):
         raise InvalidArgumentError("band_limit must be an integer")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .embedding import solve_weyl
 from .energy import (BoostVector, PhiInput, bound_constant_C, dphi_dt,
-                     e_tilde_rho_omega, energy_bounds, liu_yau_mass, minkowski_dot,
+                     e_tilde_tau, energy_bounds, liu_yau_mass, minkowski_dot,
                      momentum_four_vector, phi, synthetic_surface_data,
                      wang_yau_energy)
 from .initialdata import (adm_energy, adm_momentum, composite_data,
@@ -189,13 +189,10 @@ def check_energy_split(rng, L):
     worst = 0.0
     worst_cross = 0.0
     for _ in range(5):
-        a = rng.uniform(-1.5, 1.5, size=3)
-        rep = wang_yau_energy(S, sd, BoostVector(a))
+        t0 = BoostVector(rng.uniform(-1.5, 1.5, size=3))
+        rep = wang_yau_energy(S, sd, t0)
         worst = max(worst, abs(rep.E - (rep.E_tilde + rep.boost_term)))
-        rho = np.linalg.norm(a)
-        if rho > 0:
-            worst_cross = max(worst_cross, abs(
-                rep.E_tilde - e_tilde_rho_omega(S, sd, rho, a / rho)))
+        worst_cross = max(worst_cross, abs(rep.E_tilde - e_tilde_tau(S, sd, t0)))
     return (worst <= 1e-10 and worst_cross <= 1e-8), \
         f"split defect {worst:.2e}, cross-path defect {worst_cross:.2e}"
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qlelab.energy import (BoostVector, FourVectorW, PhiInput, bound_constant_C,
-                           classify_causal, dphi_dt, e_tilde_rho_omega, energy_bounds,
-                           liu_yau_mass, minkowski_dot, momentum_four_vector, phi,
-                           synthetic_surface_data, tau, wang_yau_energy)
+                           classify_causal, dphi_dt, e_tilde_rho_omega, e_tilde_tau,
+                           energy_bounds, liu_yau_mass, minkowski_dot, momentum_four_vector,
+                           phi, synthetic_surface_data, tau, wang_yau_energy)
 from qlelab.errors import InvalidArgumentError, NumericalDomainError
 from qlelab.initialdata import composite_data, coordinate_sphere
 from qlelab.sphere import ScalarField, grad_norm_squared, laplacian
@@ -62,16 +62,20 @@ def test_rest_frame_energy_is_liu_yau(schw_sphere4):
     assert abs(rep.E - liu_yau_mass(S, sd)) <= 1e-9
 
 
-def test_energy_split_and_cross_path(schw_sphere4):
-    S, sd = schw_sphere4
+def test_energy_split_and_cross_path(schw_sphere4, grid24):
+    # The pointwise path of wang_yau_energy against the spectral tau oracle,
+    # on a round physical sphere and on a random non-round convex surface.
+    rng_surface = np.random.default_rng(40)
+    S_rand = random_convex_surface(grid24, rng_surface)
+    sd_rand = random_surface_data(S_rand, rng_surface)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        a = rng.uniform(-2, 2, size=3)
-        rep = wang_yau_energy(S, sd, BoostVector(a))
-        assert abs(rep.E - (rep.E_tilde + rep.boost_term)) <= 1e-10
-        rho = np.linalg.norm(a)
-        assert abs(rep.E_tilde - e_tilde_rho_omega(S, sd, rho, a / rho)) <= 1e-8
-        assert rep.lower - 1e-9 <= rep.E <= rep.upper + 1e-9
+    for S, sd in (schw_sphere4, (S_rand, sd_rand)):
+        for _ in range(5):
+            t0 = BoostVector(rng.uniform(-2, 2, size=3))
+            rep = wang_yau_energy(S, sd, t0)
+            assert abs(rep.E - (rep.E_tilde + rep.boost_term)) <= 1e-10
+            assert abs(rep.E_tilde - e_tilde_tau(S, sd, t0)) <= 1e-8
+            assert rep.lower - 1e-9 <= rep.E <= rep.upper + 1e-9
 
 
 def test_e_tilde_at_rho_zero_is_liu_yau(schw_sphere4):

@@ -150,3 +150,52 @@ def test_schwarzschild_sweep_approaches_adm_mass(grid16):
         rho_a = row.r * (1 + 0.5 / row.r) ** 2
         m_by = rho_a * (1.0 - np.sqrt(1.0 - 2.0 / rho_a))
         assert abs(row.inf_numeric - m_by) <= 1e-6
+
+
+def test_sweep_propagates_programming_errors(grid16, monkeypatch):
+    # Only typed qlelab errors are per-radius failures; a bug must surface.
+    from qlelab import optimizer
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(optimizer, "coordinate_sphere", broken)
+    with pytest.raises(TypeError):
+        large_sphere_sweep(flat_data(), [10.0], grid16)
+
+
+def test_boost_search_is_pointwise_on_a_fixed_surface(grid16, monkeypatch):
+    # Once the surface is built, energy and infimum need no spectral
+    # transform, and the infimum forms W and C at most once.
+    from qlelab import energy, optimizer
+    from qlelab.embedding import solve_weyl
+    from qlelab.initialdata import coordinate_sphere
+    from qlelab.sphere import SphereGrid
+
+    sd = coordinate_sphere(composite_data(1.0, (0.25, 0.0, 0.0)), 40.0, grid16)
+    S = solve_weyl(sd.metric).surface
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("spectral transform on a fixed surface")
+
+    for name in ("analysis", "synthesis", "synth_deriv"):
+        monkeypatch.setattr(SphereGrid, name, no_transform)
+    calls = {"momentum_four_vector": 0, "bound_constant_C": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counted(name, getattr(energy, name))
+        monkeypatch.setattr(energy, name, wrapped)
+        monkeypatch.setattr(optimizer, name, wrapped)
+
+    rep = wang_yau_energy(S, sd, BoostVector(np.array([0.3, -0.2, 0.5])))
+    assert np.isfinite(rep.E)
+    calls.update(momentum_four_vector=0, bound_constant_C=0)
+    res = numeric_infimum(S, sd)
+    assert res.status == "closed-form" and res.converged
+    assert calls["momentum_four_vector"] <= 1 and calls["bound_constant_C"] <= 1
