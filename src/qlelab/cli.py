@@ -19,8 +19,6 @@ import logging
 import os
 import sys
 
-log = logging.getLogger("qlelab")
-
 _COMMON_KEYS = {"out", "seed", "threads", "band_limit"}
 _ALLOWED_KEYS = {
     "embed": _COMMON_KEYS | {"metric", "tol"},

@@ -16,6 +16,7 @@ the coordinate axes for ellipsoidal shapes.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import ConvergenceError, GridMismatchError, InvalidArgumentError, N
 from .sphere import InducedMetric, ScalarField, SphereGrid, integrate
 from .surfaces import EmbeddedSurface, surface_geometry
 
+log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-9
 MAX_NEWTON_STEPS = 50
 
@@ -55,22 +57,12 @@ def _nhat_derivatives(grid: SphereGrid):
     Returns a dict keyed by strings of 't'/'p' (e.g. 'tp' = d_theta d_phi),
     each an (n, 3) array.
     """
-    st, ct = grid.sin_theta, grid.cos_theta
-    cp, sp = np.cos(grid.phi), np.sin(grid.phi)
-    zero = np.zeros_like(st)
-    n = np.stack([st * cp, st * sp, ct], axis=-1)
-    d = {
-        "t": np.stack([ct * cp, ct * sp, -st], axis=-1),
-        "p": np.stack([-st * sp, st * cp, zero], axis=-1),
-        "tt": -n,
-        "tp": np.stack([-ct * sp, ct * cp, zero], axis=-1),
-        "pp": np.stack([-st * cp, -st * sp, zero], axis=-1),
-    }
-    d["ttt"] = -d["t"]
-    d["ttp"] = -d["p"]
-    d["tpp"] = np.stack([-ct * cp, -ct * sp, zero], axis=-1)
-    d["ppp"] = np.stack([st * sp, -st * cp, zero], axis=-1)
-    return d
+    n = grid.nhat()
+    t, p = grid.dnhat()
+    cot = (grid.cos_theta / grid.sin_theta)[:, None]
+    flat = np.array([1.0, 1.0, 0.0])               # drops the z component
+    return {"t": t, "p": p, "tt": -n, "tp": cot * p, "pp": -n * flat,
+            "ttt": -t, "ttp": -p, "tpp": -t * flat, "ppp": -p}
 
 
 def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
@@ -88,7 +80,6 @@ def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
     smooth metric; used as the convexity precondition of the solver.
     """
     g = h.grid
-    Ytt, Ytp, Ypp = g.second_bases
     dn = _nhat_derivatives(g)
     inv_s2 = 1.0 / g.sin_theta ** 2
 
@@ -100,24 +91,12 @@ def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
                                   + Up[:, :, None] * Ut[:, None, :])
          + h.pp[:, None, None] * Up[:, :, None] * Up[:, None, :])
 
-    # Spectral derivatives of the six smooth entries.
-    idx = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    coef = {ij: g.analysis(H[:, ij[0], ij[1]]) for ij in idx}
-
-    def d_matrix(key):
-        return {"t": g.Yt, "p": g.Yp, "tt": Ytt, "tp": Ytp, "pp": Ypp}[key]
-
-    def dH(key):
-        out = np.empty((g.size, 3, 3))
-        mat = d_matrix(key)
-        for (i, j) in idx:
-            out[:, i, j] = out[:, j, i] = mat @ coef[(i, j)]
-        return out
-
-    H1 = {k: dH(k) for k in ("t", "p")}
-    H2 = {k: dH(k) for k in ("tt", "tp", "pp")}
-
-    T = {"t": dn["t"], "p": dn["p"]}
+    # Spectral derivatives of the six smooth entries, as full (n, 3, 3) tensors.
+    rows, cols = np.triu_indices(3)
+    sym = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])     # (i, j) -> entry
+    coef = g.analysis(H[:, rows, cols])
+    H1 = dict(zip(("t", "p"), (d[:, sym] for d in g.synth_deriv(coef))))
+    H2 = dict(zip(("tt", "tp", "pp"), (d[:, sym] for d in g.second_derivatives(coef))))
 
     def key(*letters):
         """Canonical multi-index: all 't's before all 'p's."""
@@ -126,9 +105,9 @@ def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
 
     def h_first(gamma, alpha, beta):
         """d_gamma h_{alpha beta} at the nodes."""
-        return (np.einsum("nij,ni,nj->n", H1[gamma], T[alpha], T[beta])
-                + np.einsum("nij,ni,nj->n", H, dn[key(gamma, alpha)], T[beta])
-                + np.einsum("nij,ni,nj->n", H, T[alpha], dn[key(gamma, beta)]))
+        return (np.einsum("nij,ni,nj->n", H1[gamma], dn[alpha], dn[beta])
+                + np.einsum("nij,ni,nj->n", H, dn[key(gamma, alpha)], dn[beta])
+                + np.einsum("nij,ni,nj->n", H, dn[alpha], dn[key(gamma, beta)]))
 
     def h_second(delta, gamma, alpha, beta):
         """d_delta d_gamma h_{alpha beta} at the nodes."""
@@ -139,15 +118,15 @@ def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
         ddga = dn[key(delta, gamma, alpha)]
         ddgb = dn[key(delta, gamma, beta)]
         d2H = H2[key(delta, gamma)]
-        return (np.einsum("nij,ni,nj->n", d2H, T[alpha], T[beta])
-                + np.einsum("nij,ni,nj->n", H1[gamma], dda, T[beta])
-                + np.einsum("nij,ni,nj->n", H1[gamma], T[alpha], ddb)
-                + np.einsum("nij,ni,nj->n", H1[delta], dga, T[beta])
-                + np.einsum("nij,ni,nj->n", H, ddga, T[beta])
+        return (np.einsum("nij,ni,nj->n", d2H, dn[alpha], dn[beta])
+                + np.einsum("nij,ni,nj->n", H1[gamma], dda, dn[beta])
+                + np.einsum("nij,ni,nj->n", H1[gamma], dn[alpha], ddb)
+                + np.einsum("nij,ni,nj->n", H1[delta], dga, dn[beta])
+                + np.einsum("nij,ni,nj->n", H, ddga, dn[beta])
                 + np.einsum("nij,ni,nj->n", H, dga, ddb)
-                + np.einsum("nij,ni,nj->n", H1[delta], T[alpha], dgb)
+                + np.einsum("nij,ni,nj->n", H1[delta], dn[alpha], dgb)
                 + np.einsum("nij,ni,nj->n", H, dda, dgb)
-                + np.einsum("nij,ni,nj->n", H, T[alpha], ddgb))
+                + np.einsum("nij,ni,nj->n", H, dn[alpha], ddgb))
 
     E, F, G = h.tt, h.tp, h.pp
     E_u, E_v = h_first("t", "t", "t"), h_first("p", "t", "t")
@@ -199,7 +178,9 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be positive")
     grid = h.grid
-    if np.min(metric_gauss_curvature(h)) <= 0.0:
+    k_min = float(np.min(metric_gauss_curvature(h)))
+    log.debug("solve_weyl: Brioschi min K %.6e", k_min)
+    if k_min <= 0.0:
         raise NotConvexError("metric has nonpositive Gauss curvature somewhere")
 
     area = float(integrate(ScalarField(grid, np.ones(grid.size)), h))
@@ -274,6 +255,8 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
         if not improved:
             break
         sup = np.abs(comp - target).max()
+        log.debug("solve_weyl: iteration %d objective %.3e step %g sup residual %.3e",
+                  iterations, objective, step, sup)
         if sup < best[0]:
             best = (sup, coeffs)
 
@@ -281,6 +264,8 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
     surface = surface_geometry(grid, coeffs=_gauge_normalize(grid, best[1] * s))
     residual = embedding_residual(surface, h)
     converged = residual_scaled <= tol
+    log.info("solve_weyl: %d iterations, scaled residual %.3e, converged %s",
+             iterations, residual_scaled, converged)
     solution = WeylSolution(surface=surface, residual=residual,
                             residual_scaled=residual_scaled,
                             iterations=iterations, converged=converged)

@@ -46,23 +46,15 @@ def sh_degrees(band_limit: int):
     return ls, ms
 
 
-def _legendre_tables(band_limit, x, sin_th, second=False):
+def _legendre_tables(band_limit, x, sin_th):
     """Normalized associated Legendre Pbar_l^m and th-derivatives at x = cos th.
 
     Returns dicts keyed by m >= 0 holding arrays of shape
-    (band_limit + 1 - m, npts): rows are l = m .. band_limit.  With
-    `second`, the second colatitude derivative table is included, using
-
-        d2(Pbar_l)/dth2 = -l Pbar_l
-                          + [(l x - cos th) d(Pbar_l)/dth
-                             - A_l d(Pbar_{l-1})/dth] / sin th,
-
-    A_l = sqrt((l^2-m^2)(2l+1)/(2l-1)).
+    (band_limit + 1 - m, npts): rows are l = m .. band_limit.
     """
     L = band_limit
     p = {}
     dp = {}
-    d2p = {} if second else None
     # Diagonal Pbar_m^m by upward recurrence.
     pmm = np.full_like(x, np.sqrt(1.0 / (4.0 * np.pi)))
     for m in range(L + 1):
@@ -85,35 +77,20 @@ def _legendre_tables(band_limit, x, sin_th, second=False):
             drows[l - m] = (l * x * rows[l - m] - low) / sin_th
         dp[m] = drows
 
-        if second:
-            d2rows = np.empty_like(rows)
-            for l in range(m, L + 1):
-                if l == m:
-                    dlow = 0.0
-                else:
-                    A = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-                    dlow = A * drows[l - 1 - m]
-                d2rows[l - m] = (-l * rows[l - m]
-                                 + ((l - 1.0) * x * drows[l - m] - dlow) / sin_th)
-            d2p[m] = d2rows
-
         # Seed the next diagonal: Pbar_{m+1}^{m+1}.
         pmm = pmm * sin_th * np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
-    if second:
-        return p, dp, d2p
     return p, dp
 
 
-def real_sh_basis(theta, phi, band_limit, second=False):
-    """Evaluate the real harmonic basis and its angular derivatives.
+def real_sh_basis(theta, phi, band_limit):
+    """Evaluate the real harmonic basis and its first angular derivatives.
 
     Args:
         theta, phi: 1-d arrays of equal length; theta strictly inside (0, pi).
         band_limit: maximum degree L.
-        second: also return the second colatitude derivative matrix.
 
     Returns:
-        (Y, dY_dtheta, dY_dphi[, d2Y_dtheta2]), each (npts, (L+1)^2).
+        (Y, dY_dtheta, dY_dphi), each (npts, (L+1)^2).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -127,12 +104,8 @@ def real_sh_basis(theta, phi, band_limit, second=False):
     Y = np.empty((n, ncoef))
     Yt = np.empty((n, ncoef))
     Yp = np.empty((n, ncoef))
-    Ytt = np.empty((n, ncoef)) if second else None
 
-    if second:
-        p, dp, d2p = _legendre_tables(L, x, st, second=True)
-    else:
-        p, dp = _legendre_tables(L, x, st)
+    p, dp = _legendre_tables(L, x, st)
     sqrt2 = np.sqrt(2.0)
     cosm = {m: np.cos(m * phi) for m in range(L + 1)}
     sinm = {m: np.sin(m * phi) for m in range(L + 1)}
@@ -145,8 +118,6 @@ def real_sh_basis(theta, phi, band_limit, second=False):
                 Y[:, j] = pl
                 Yt[:, j] = dpl
                 Yp[:, j] = 0.0
-                if second:
-                    Ytt[:, j] = d2p[m][l - m]
             else:
                 jc = sh_index(l, m)
                 js = sh_index(l, -m)
@@ -156,26 +127,4 @@ def real_sh_basis(theta, phi, band_limit, second=False):
                 Yt[:, js] = sqrt2 * dpl * sinm[m]
                 Yp[:, jc] = -m * sqrt2 * pl * sinm[m]
                 Yp[:, js] = m * sqrt2 * pl * cosm[m]
-                if second:
-                    d2pl = d2p[m][l - m]
-                    Ytt[:, jc] = sqrt2 * d2pl * cosm[m]
-                    Ytt[:, js] = sqrt2 * d2pl * sinm[m]
-    if second:
-        return Y, Yt, Yp, Ytt
     return Y, Yt, Yp
-
-
-def dphi_matrix(mat, band_limit):
-    """Column map implementing d/dphi on any matrix in the standard layout.
-
-    Works for any matrix whose (l, m) column is f_lm(theta) * cos(m phi) for
-    m >= 0 and f_lm(theta) * sin(|m| phi) for m < 0 (e.g. Y -> Yp, Yt -> Ytp).
-    """
-    out = np.zeros_like(mat)
-    for l in range(band_limit + 1):
-        for m in range(1, l + 1):
-            jc = sh_index(l, m)
-            js = sh_index(l, -m)
-            out[:, jc] = -m * mat[:, js]
-            out[:, js] = m * mat[:, jc]
-    return out

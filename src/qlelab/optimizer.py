@@ -15,16 +15,18 @@ chased.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import solve_weyl
-from .energy import (BoostVector, FourVectorW, bound_constant_C, e_tilde,
-                     momentum_four_vector, wang_yau_energy)
+from .energy import (BoostVector, FourVectorW, bound_constant_C, e_tilde, energy_bounds,
+                     momentum_four_vector)
 from .errors import InvalidArgumentError, QlelabError
 from .initialdata import InitialData, SurfaceData, coordinate_sphere
 
+log = logging.getLogger(__name__)
 VALUE_TOL = 1e-8
 POINT_TOL = 1e-5
 DEFAULT_A_SAMPLES = (
@@ -125,7 +127,7 @@ def nelder_mead(f, x0, scale=0.25, value_tol=VALUE_TOL, point_tol=POINT_TOL,
     return simplex[order][0], values[order][0], iterations, False
 
 
-def closed_form_infimum(w: FourVectorW, C: float) -> InfimumResult:
+def closed_form_infimum(w: FourVectorW) -> InfimumResult:
     """Infimum over T0 from W alone, when W is future timelike."""
     if w.causal_type == "timelike-future":
         s = np.sqrt(-w.norm_squared)
@@ -148,7 +150,7 @@ def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
     a bounded diagnostic descent is attempted.
     """
     w = momentum_four_vector(surface, data)
-    closed = closed_form_infimum(w, bound_constant_C(surface, data))
+    closed = closed_form_infimum(w)
 
     def objective(a):
         return e_tilde(surface, data, a) - a @ w.V
@@ -171,7 +173,7 @@ def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
         all_converged = all_converged and conv
         if best is None or fx < best[1]:
             best = (x, fx)
-
+    log.debug("numeric_infimum: %d simplex iterations, converged %s", total_iter, all_converged)
     return InfimumResult(status=closed.status, a_star=best[0], value=float(best[1]),
                          closed_form_value=closed.closed_form_value, iterations=total_iter,
                          converged=all_converged and closed.status != STATUS_UNBOUNDED)
@@ -206,16 +208,18 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
             eps = 0.0
             for a in a_samples:
                 t0 = BoostVector(np.asarray(a, dtype=float))
-                rep = wang_yau_energy(S, sd, t0)
-                eps = max(eps, abs(rep.E - rep.lower) / t0.time_component)
+                E = e_tilde(S, sd, t0.a) - float(t0.a @ w.V)
+                lower, _ = energy_bounds(w, C, t0)
+                eps = max(eps, abs(E - lower) / t0.time_component)
             rows.append(SweepRow(r=r, m_ly=w.m_ly, V=w.V, causal=w.causal_type,
                                  C=C, inf_numeric=numeric.value,
                                  inf_closed=numeric.closed_form_value,
                                  eps_max=eps, embed_iterations=sol.iterations,
                                  embed_residual=sol.residual))
         except (QlelabError, np.linalg.LinAlgError) as exc:  # per-radius isolation
+            error = f"{type(exc).__name__}: {exc}"
+            log.info("large_sphere_sweep: radius %g failed: %s", r, error)
             rows.append(SweepRow(r=r, m_ly=np.nan, V=np.full(3, np.nan),
                                  causal="error", C=np.nan, inf_numeric=np.nan,
-                                 inf_closed=None, eps_max=np.nan,
-                                 error=f"{type(exc).__name__}: {exc}"))
+                                 inf_closed=None, eps_max=np.nan, error=error))
     return rows

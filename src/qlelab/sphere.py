@@ -25,13 +25,12 @@ which touches only the smooth R^3-valued components W^j.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, SingularMetricError
-from .harmonics import dphi_matrix, real_sh_basis, sh_count
+from .harmonics import real_sh_basis, sh_count, sh_degrees
 
 DEFAULT_BAND_LIMIT = 24
 
@@ -86,13 +85,6 @@ class SphereGrid:
     def cos_theta(self) -> np.ndarray:
         return np.cos(self.theta)
 
-    @functools.cached_property
-    def second_bases(self):
-        """(Ytt, Ytp, Ypp) second-derivative synthesis matrices, built on first use."""
-        _, Yt, _, Ytt = real_sh_basis(self.theta, self.phi, self.work_degree, second=True)
-        return (_frozen(Ytt), _frozen(dphi_matrix(Yt, self.work_degree)),
-                _frozen(dphi_matrix(self.Yp, self.work_degree)))
-
     def nhat(self) -> np.ndarray:
         """Unit-sphere position vectors, shape (n, 3)."""
         st, ct = self.sin_theta, self.cos_theta
@@ -129,6 +121,22 @@ class SphereGrid:
         """(df/dth, df/dph) at the nodes from coefficients."""
         c = self._pad(coeffs)
         return self.Yt @ c, self.Yp @ c
+
+    def second_derivatives(self, coeffs):
+        """(d2f/dth2, d2f/dthdph, d2f/dph2) at the nodes from coefficients.
+
+        d/dph maps the (l, m) coefficient to m c[l, -m], so f_pp = Y (-m^2 c)
+        and f_tp = Yt (m c[l, -m]); f_tt follows from the round Laplacian,
+        f_tt + cot th f_t + f_pp / sin^2 th = Y (-l(l+1) c).
+        """
+        c = self._pad(coeffs)
+        trail = (1,) * (c.ndim - 1)
+        ls, ms = (a.reshape(-1, *trail) for a in sh_degrees(self.work_degree))
+        st, ct = (a.reshape(-1, *trail) for a in (self.sin_theta, self.cos_theta))
+        f_pp = self.Y @ (-ms ** 2 * c)
+        f_tp = self.Yt @ (ms * c[np.arange(len(c)) - 2 * ms.ravel()])
+        f_tt = self.Y @ (-ls * (ls + 1) * c) - ct / st * (self.Yt @ c) - f_pp / st ** 2
+        return f_tt, f_tp, f_pp
 
     def project(self, values, degree: int | None = None) -> np.ndarray:
         """Projection onto the degree <= L subspace (identity on band-limited)."""

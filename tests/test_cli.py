@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qlelab
 from qlelab.cli import run
 from qlelab.io import load_json, metric_payload, parse_radii, parse_vector, write_json
 from qlelab.sphere import make_grid
@@ -147,9 +148,13 @@ def test_verify_subcommand_exit_zero():
 
 
 def test_installed_entry_point():
+    # The child imports the same qlelab as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(qlelab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "qlelab.cli", "energy",
                            "--family", "flat", "--radius", "5",
                            "--band-limit", "8", "--a", "0,0,0"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "energy:" in proc.stdout

@@ -1,5 +1,7 @@
 """Weyl solver: identity cases, round trips, gauge, error taxonomy."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ def test_brioschi_on_conformal_metric(grid16):
     # K = e^{-2u} (1 - lap_round u) for h = e^{2u} sigma.
     oracle = np.exp(-2 * u) * (1.0 - laplacian(ScalarField(g, u), round_metric(g)).values)
     assert np.abs(metric_gauss_curvature(h) - oracle).max() <= 1e-9
+
+
+def test_brioschi_on_nonaxisymmetric_metric(grid24):
+    # m != 0 terms make h_tp nonzero, so the phi-derivative paths count.
+    S = harmonic_perturbation(grid24, 1.3, {(2, 1): 0.02, (3, 0): 0.015, (4, -3): 0.01})
+    assert np.abs(metric_gauss_curvature(S.metric) - S.gauss).max() <= 1e-10
+
+
+def test_weyl_logs_curvature_iterations_and_summary(grid16, caplog):
+    caplog.set_level(logging.DEBUG, logger="qlelab.embedding")
+    sol = solve_weyl(ellipsoid(grid16, (1.0, 1.0, 1.1)).metric)
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert sum("Brioschi min K" in m for m in messages) == 1
+    steps = [rec for rec in caplog.records if "iteration" in rec.getMessage()
+             and rec.levelno == logging.DEBUG]
+    assert len(steps) == sol.iterations - 1 >= 1
+    summary = [rec for rec in caplog.records if rec.levelno == logging.INFO]
+    assert len(summary) == 1 and f"{sol.iterations} iterations" in summary[0].getMessage()
 
 
 def test_no_convergence_carries_best_iterate(grid16):

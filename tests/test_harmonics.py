@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qlelab.harmonics import dphi_matrix, real_sh_basis, sh_count, sh_degrees, sh_index
+from qlelab.harmonics import real_sh_basis, sh_count, sh_degrees, sh_index
+from qlelab.sphere import make_grid
 
 
 def test_index_layout():
@@ -50,26 +51,26 @@ def test_angular_derivatives_vs_finite_differences():
     assert np.abs(Yp @ c - d_ph).max() < 1e-8
 
 
-def test_second_derivative_basis():
+def test_second_derivatives_vs_finite_differences():
+    # (f_tt, f_tp, f_pp) from the first-order bases, at every grid node,
+    # against 4th-order stencils of the basis evaluated off the grid.
     rng = np.random.default_rng(5)
-    L = 10
-    c = rng.standard_normal(sh_count(L))
-    th = np.array([0.5, 1.3, 2.4])
-    ph = np.array([0.9, 2.8, 5.1])
+    g = make_grid(10)
+    c = rng.standard_normal(g.n_coef)
+    th, ph = g.theta, g.phi
 
-    def value(t, p):
-        return real_sh_basis(t, p, L)[0] @ c
+    def value(t, p, k=0):
+        return real_sh_basis(t, p, g.band_limit)[k] @ c
 
     h = 1e-3
     f0 = value(th, ph)
-    d2 = (-value(th - 2 * h, ph) + 16 * value(th - h, ph) - 30 * f0
-          + 16 * value(th + h, ph) - value(th + 2 * h, ph)) / (12 * h ** 2)
-    _, Yt, _, Ytt = real_sh_basis(th, ph, L, second=True)
-    assert np.abs(Ytt @ c - d2).max() < 1e-7
-
-    def dth_value(t, p):
-        return real_sh_basis(t, p, L)[1] @ c
-
-    dtp = (dth_value(th, ph - 2 * h) - 8 * dth_value(th, ph - h)
-           + 8 * dth_value(th, ph + h) - dth_value(th, ph + 2 * h)) / (12 * h)
-    assert np.abs(dphi_matrix(Yt, L) @ c - dtp).max() < 1e-7
+    d_tt = (-value(th - 2 * h, ph) + 16 * value(th - h, ph) - 30 * f0
+            + 16 * value(th + h, ph) - value(th + 2 * h, ph)) / (12 * h ** 2)
+    d_pp = (-value(th, ph - 2 * h) + 16 * value(th, ph - h) - 30 * f0
+            + 16 * value(th, ph + h) - value(th, ph + 2 * h)) / (12 * h ** 2)
+    d_tp = (value(th, ph - 2 * h, 1) - 8 * value(th, ph - h, 1)
+            + 8 * value(th, ph + h, 1) - value(th, ph + 2 * h, 1)) / (12 * h)
+    f_tt, f_tp, f_pp = g.second_derivatives(c)
+    assert np.abs(f_tt - d_tt).max() < 1e-7
+    assert np.abs(f_tp - d_tp).max() < 1e-7
+    assert np.abs(f_pp - d_pp).max() < 1e-7

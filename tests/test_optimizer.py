@@ -16,7 +16,7 @@ M_BY_AREAL4 = 4.0 - 2.0 * np.sqrt(2.0)
 
 def test_closed_form_rest_frame():
     w = FourVectorW(1.0, np.zeros(3), classify_causal(1.0, np.zeros(3)))
-    res = closed_form_infimum(w, 0.0)
+    res = closed_form_infimum(w)
     assert res.status == "closed-form"
     assert np.abs(res.a_star).max() == 0.0 and res.value == 1.0
 
@@ -24,7 +24,7 @@ def test_closed_form_rest_frame():
 def test_closed_form_boosted_adm_vector():
     # W = (E, -P) with E = 1, P = 0.3 e_x: inf = sqrt(E^2 - |P|^2) = sqrt(0.91).
     w = FourVectorW(1.0, np.array([-0.3, 0.0, 0.0]), classify_causal(1.0, [-0.3, 0, 0]))
-    res = closed_form_infimum(w, 0.0)
+    res = closed_form_infimum(w)
     assert abs(res.value - np.sqrt(0.91)) <= 1e-15
     # a* = V / sqrt(m^2 - |V|^2); T0*(a*) has time component m/sqrt(-<W,W>).
     assert np.abs(res.a_star - np.array([-0.3, 0, 0]) / np.sqrt(0.91)).max() <= 1e-15
@@ -34,13 +34,13 @@ def test_closed_form_boosted_adm_vector():
 
 def test_closed_form_degenerate_cases():
     w = FourVectorW(0.0, np.array([0.3, 0.0, 0.0]), classify_causal(0.0, [0.3, 0, 0]))
-    res = closed_form_infimum(w, 0.0)
+    res = closed_form_infimum(w)
     assert res.status == "unbounded-below-suspected"
     assert res.closed_form_value is None
     w_null = FourVectorW(0.5, np.array([0.5, 0.0, 0.0]), classify_causal(0.5, [0.5, 0, 0]))
-    assert closed_form_infimum(w_null, 0.0).status == "numeric-only"
+    assert closed_form_infimum(w_null).status == "numeric-only"
     w_past = FourVectorW(-1.0, np.zeros(3), classify_causal(-1.0, np.zeros(3)))
-    assert closed_form_infimum(w_past, 0.0).status == "unbounded-below-suspected"
+    assert closed_form_infimum(w_past).status == "unbounded-below-suspected"
 
 
 def test_nelder_mead_quadratic():
@@ -166,20 +166,14 @@ def test_sweep_propagates_programming_errors(grid16, monkeypatch):
 
 def test_boost_search_is_pointwise_on_a_fixed_surface(grid16, monkeypatch):
     # Once the surface is built, energy and infimum need no spectral
-    # transform, and the infimum forms W and C at most once.
+    # transform; the infimum forms W and C at most once, and a sweep radius
+    # forms W at most twice (its own and the infimum's) and C once.
     from qlelab import energy, optimizer
     from qlelab.embedding import solve_weyl
     from qlelab.initialdata import coordinate_sphere
     from qlelab.sphere import SphereGrid
 
-    sd = coordinate_sphere(composite_data(1.0, (0.25, 0.0, 0.0)), 40.0, grid16)
-    S = solve_weyl(sd.metric).surface
-
-    def no_transform(*args, **kwargs):
-        raise AssertionError("spectral transform on a fixed surface")
-
-    for name in ("analysis", "synthesis", "synth_deriv"):
-        monkeypatch.setattr(SphereGrid, name, no_transform)
+    data = composite_data(1.0, (0.25, 0.0, 0.0))
     calls = {"momentum_four_vector": 0, "bound_constant_C": 0}
 
     def counted(name, func):
@@ -192,6 +186,19 @@ def test_boost_search_is_pointwise_on_a_fixed_surface(grid16, monkeypatch):
         wrapped = counted(name, getattr(energy, name))
         monkeypatch.setattr(energy, name, wrapped)
         monkeypatch.setattr(optimizer, name, wrapped)
+
+    (row,) = large_sphere_sweep(data, [40.0], grid16)
+    assert row.error is None and np.isfinite(row.eps_max)
+    assert calls["momentum_four_vector"] <= 2 and calls["bound_constant_C"] <= 1
+
+    sd = coordinate_sphere(data, 40.0, grid16)
+    S = solve_weyl(sd.metric).surface
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("spectral transform on a fixed surface")
+
+    for name in ("analysis", "synthesis", "synth_deriv"):
+        monkeypatch.setattr(SphereGrid, name, no_transform)
 
     rep = wang_yau_energy(S, sd, BoostVector(np.array([0.3, -0.2, 0.5])))
     assert np.isfinite(rep.E)
