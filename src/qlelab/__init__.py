@@ -17,7 +17,7 @@ _EXPORTS = {
     "embedding": ["WeylSolution", "embedding_residual", "metric_gauss_curvature",
                   "solve_weyl"],
     "energy": ["BoostVector", "EnergyReport", "FourVectorW", "PhiInput", "bound_constant_C",
-               "classify_causal", "dphi_dt", "e_tilde", "e_tilde_rho_omega", "e_tilde_tau",
+               "classify_causal", "dphi_dt", "e_tilde", "e_tilde_tau",
                "energy_bounds", "liu_yau_mass", "minkowski_dot", "momentum_four_vector",
                "phi", "synthetic_surface_data", "tau", "wang_yau_energy"],
     "errors": ["ConfigError", "ConvergenceError", "GridMismatchError",

@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 
-_COMMON_KEYS = {"out", "seed", "threads", "band_limit"}
+_COMMON_KEYS = {"out", "seed", "band_limit"}
 _ALLOWED_KEYS = {
     "embed": _COMMON_KEYS | {"metric", "tol"},
     "energy": _COMMON_KEYS | {"family", "mass", "momentum", "radius", "a",
@@ -103,13 +103,12 @@ def _data_from_options(args, config):
     return data_from_config(block)
 
 
-def _embedded_sphere(data, radius, grid, tol=1e-9):
+def _embedded_sphere(data, radius, grid):
     from .embedding import solve_weyl
     from .initialdata import coordinate_sphere
 
     sd = coordinate_sphere(data, radius, grid)
-    sol = solve_weyl(sd.metric, tol=tol)
-    return sol.surface, sd, sol
+    return solve_weyl(sd.metric).surface, sd
 
 
 def _cmd_embed(args, config):
@@ -172,7 +171,7 @@ def _cmd_energy(args, config):
         if radius is None:
             raise ConfigError("energy on a data family requires --radius")
         ini = _data_from_options(args, config)
-        surface, data, _ = _embedded_sphere(ini, float(radius), grid)
+        surface, data = _embedded_sphere(ini, float(radius), grid)
         source = {"family": ini.family, "mass": ini.mass,
                   "momentum": ini.momentum, "radius": float(radius),
                   "band_limit": band_limit}
@@ -217,7 +216,7 @@ def _cmd_infimum(args, config):
 
     grid = make_grid(band_limit)
     ini = _data_from_options(args, config)
-    surface, data, _ = _embedded_sphere(ini, float(radius), grid)
+    surface, data = _embedded_sphere(ini, float(radius), grid)
     res = numeric_infimum(surface, data, a0=np.asarray(a0, dtype=float), seed=seed)
     payload = {
         "status": res.status,

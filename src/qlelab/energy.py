@@ -15,13 +15,13 @@ R^3 (the quasilocal momentum 3-vector), and with tau = -<a, X>,
 
     s = sqrt(1 + |grad tau|^2).
 
-Writing a = rho * omega gives the equivalent pointwise form
+With u = <a, N>, lap tau = k0 u and |grad tau|^2 = |a|^2 - u^2, so Etilde
+has the equivalent pointwise form
 
-    p = <omega, N>,  q = sqrt(1 - p^2),  t = |H|/k0,
-    f = rho p / sqrt(1 + rho^2 q^2),
-    B = sqrt(1+rho^2) (1 - sqrt(t^2+f^2)/sqrt(1+f^2)),
-    F = rho p (asinh(f/t) - asinh(f)),
-    Etilde(rho, omega) = (1/8pi) int k0 (B + F) dv.
+    t = |H|/k0,  f = u / sqrt(1 + |a|^2 - u^2),
+    B = sqrt(1+|a|^2) (1 - sqrt(t^2+f^2)/sqrt(1+f^2)),
+    F = u (asinh(f/t) - asinh(f)),
+    Etilde(a) = (1/8pi) int k0 (B + F) dv.
 
 On a fixed surface this is a pointwise O(n) sum: every energy evaluation
 uses it (`e_tilde`, `wang_yau_energy`, the boost search).  The tau form needs
@@ -32,7 +32,7 @@ spectral derivatives at every boost and is kept as the independent oracle
     W = (m_LY, V),   m_LY = (1/8pi) int (k0 - |H|) dv,
     C = sup |k0^2/|H|^2 + k0/|H| - 2| * (1/8pi) int |k0 - |H||,
 
-and the comparison function behind it,
+and the comparison function behind it, with rho = |a|,
 
     Phi(t) = [ -f (1+rho^2) asinh(f/t) + (rho^2-f^2) sqrt(t^2+f^2) ]
              / (rho sqrt(1+f^2) sqrt(1+rho^2))  -  rho t / sqrt(1+rho^2),
@@ -76,16 +76,6 @@ class BoostVector:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-
-    @property
-    def rho(self) -> float:
-        return float(np.linalg.norm(self.a))
-
-    @property
-    def omega(self) -> np.ndarray:
-        if self.rho == 0.0:
-            raise InvalidArgumentError("omega is undefined at a = 0")
-        return self.a / self.rho
 
     @property
     def time_component(self) -> float:
@@ -153,16 +143,6 @@ class PhiInput:
             raise InvalidArgumentError("Phi requires f^2 <= rho^2")
 
 
-def _safe_sqrt(x, what: str):
-    """sqrt with a tolerance for floating dust; hard error beyond it."""
-    x = np.asarray(x, dtype=float)
-    scale = max(1.0, float(np.abs(x).max())) if x.size else 1.0
-    if np.any(x < -1e-12 * scale):
-        raise NumericalDomainError(f"negative argument in sqrt of {what}: "
-                                   f"min = {float(x.min()):.3e}")
-    return np.sqrt(np.clip(x, 0.0, None))
-
-
 def _check_pair(surface: EmbeddedSurface, data: SurfaceData):
     if not surface.grid.compatible(data.grid):
         raise GridMismatchError("surface and surface data live on different grids")
@@ -213,7 +193,7 @@ def energy_bounds(w: FourVectorW, C: float, t0: BoostVector):
 
 def wang_yau_energy(surface: EmbeddedSurface, data: SurfaceData,
                     t0: BoostVector) -> EnergyReport:
-    """Full energy evaluation, with Etilde from the pointwise (rho, omega) form."""
+    """Full energy evaluation, with Etilde from the pointwise form."""
     e_t = e_tilde(surface, data, t0.a)
     w = momentum_four_vector(surface, data)
     boost_term = -float(t0.a @ w.V)
@@ -225,18 +205,25 @@ def wang_yau_energy(surface: EmbeddedSurface, data: SurfaceData,
 
 
 def e_tilde(surface: EmbeddedSurface, data: SurfaceData, a) -> float:
-    """Etilde at boost parameter a, split into (rho, omega) for the pointwise form."""
+    """Etilde at boost parameter a through the pointwise form in u = <a, N>."""
+    _check_pair(surface, data)
     a = np.asarray(a, dtype=float)
-    rho = float(np.linalg.norm(a))
-    return e_tilde_rho_omega(surface, data, rho, a / rho if rho > 0.0 else None)
+    a2 = a @ a
+    u = surface.normal @ a
+    f = u / np.sqrt(1.0 + a2 - u ** 2)
+    t = data.hnorm / surface.k0
+    B = np.sqrt(1.0 + a2) * (1.0 - np.sqrt(t ** 2 + f ** 2) / np.sqrt(1.0 + f ** 2))
+    F = u * (np.arcsinh(f / t) - np.arcsinh(f))
+    vals = surface.k0 * (B + F)
+    return integrate(ScalarField(surface.grid, vals), surface.metric) / (8.0 * np.pi)
 
 
 def e_tilde_tau(surface: EmbeddedSurface, data: SurfaceData, t0: BoostVector) -> float:
     """Etilde through the direct (tau-based) path: the independent oracle.
 
     grad tau and lap tau are computed with the intrinsic spectral operators
-    of the surface metric, independently of the pointwise (rho, omega)
-    identities, so the two evaluation paths can cross-validate each other.
+    of the surface metric, independently of the pointwise identities, so
+    the two evaluation paths can cross-validate each other.
     """
     _check_pair(surface, data)
     grid = surface.grid
@@ -249,32 +236,10 @@ def e_tilde_tau(surface: EmbeddedSurface, data: SurfaceData, t0: BoostVector) ->
     k0 = surface.k0
     kH = data.hnorm
 
-    A0 = _safe_sqrt(k0 ** 2 * s2 + lap ** 2, "reference root")
-    AH = _safe_sqrt(kH ** 2 * s2 + lap ** 2, "physical root")
+    A0 = np.sqrt(k0 ** 2 * s2 + lap ** 2)
+    AH = np.sqrt(kH ** 2 * s2 + lap ** 2)
     shift = lap * (np.arcsinh(lap / (s * k0)) - np.arcsinh(lap / (s * kH)))
     return integrate(ScalarField(grid, A0 - AH - shift), h) / (8.0 * np.pi)
-
-
-def e_tilde_rho_omega(surface: EmbeddedSurface, data: SurfaceData,
-                      rho: float, omega=None) -> float:
-    """Etilde evaluated through the pointwise (rho, omega) machinery."""
-    _check_pair(surface, data)
-    if rho < 0.0:
-        raise InvalidArgumentError("rho must be nonnegative")
-    t = data.hnorm / surface.k0
-    if rho == 0.0:
-        vals = surface.k0 * (1.0 - t)
-        return integrate(ScalarField(surface.grid, vals), surface.metric) / (8.0 * np.pi)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,) or abs(np.linalg.norm(omega) - 1.0) > 1e-8:
-        raise InvalidArgumentError("omega must be a unit 3-vector")
-    p = surface.normal @ omega
-    q2 = _safe_sqrt(1.0 - p ** 2, "q^2") ** 2
-    f = rho * p / np.sqrt(1.0 + rho ** 2 * q2)
-    B = np.sqrt(1.0 + rho ** 2) * (1.0 - np.sqrt(t ** 2 + f ** 2) / np.sqrt(1.0 + f ** 2))
-    F = rho * p * (np.arcsinh(f / t) - np.arcsinh(f))
-    vals = surface.k0 * (B + F)
-    return integrate(ScalarField(surface.grid, vals), surface.metric) / (8.0 * np.pi)
 
 
 def phi(inp: PhiInput) -> float:

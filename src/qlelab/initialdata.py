@@ -230,7 +230,7 @@ class SurfaceData:
 
 
 def _sphere_fields(data: InitialData, r: float, grid: SphereGrid):
-    """Shared pointwise machinery for coordinate_sphere / connection_one_form."""
+    """Nodal (g, p, nu, k, tr_S p) on the coordinate sphere |y| = r."""
     if r <= 0.0:
         raise InvalidArgumentError("radius must be positive")
     nhat = grid.nhat()
@@ -258,7 +258,7 @@ def _sphere_fields(data: InitialData, r: float, grid: SphereGrid):
     k = term1 + term2 + term3 + np.einsum("ni,ni->n", nu, dlogsqrtg)
 
     trp = np.einsum("nij,nij->n", ginv, p) - np.einsum("nij,ni,nj->n", p, nu, nu)
-    return nhat, x, g, p, nu, k, trp
+    return g, p, nu, k, trp
 
 
 def coordinate_sphere(data: InitialData, r: float, grid: SphereGrid) -> SurfaceData:
@@ -267,7 +267,7 @@ def coordinate_sphere(data: InitialData, r: float, grid: SphereGrid) -> SurfaceD
     Raises NotSpacelikeError unless k > |tr_S p| everywhere (spacelike mean
     curvature vector with outward-positive k).
     """
-    nhat, x, g, p, nu, k, trp = _sphere_fields(data, r, grid)
+    g, p, nu, k, trp = _sphere_fields(data, r, grid)
 
     dnth, dnph = grid.dnhat()
     yt = r * dnth

@@ -141,21 +141,24 @@ def closed_form_infimum(w: FourVectorW) -> InfimumResult:
 
 
 def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
-                    seed: int = 0, max_iterations: int = 400) -> InfimumResult:
+                    seed: int = 0) -> InfimumResult:
     """Simplex minimization of a -> E(Sigma, X, T0(a)) = Etilde(a) - <a, V>.
 
     Restarts from a0, the closed-form direction (when defined), and one
     seeded random point; the best result wins.  When W is future timelike
     the closed-form value is recorded alongside; for spacelike/past W only
-    a bounded diagnostic descent is attempted.
+    a bounded diagnostic descent is attempted (100 simplex iterations per
+    start instead of 400).  A start a0 that is not a finite 3-vector raises
+    InvalidArgumentError.
     """
+    a0 = BoostVector(a0).a
     w = momentum_four_vector(surface, data)
     closed = closed_form_infimum(w)
 
     def objective(a):
         return e_tilde(surface, data, a) - a @ w.V
 
-    starts = [np.asarray(a0, dtype=float)]
+    starts = [a0]
     if closed.status == STATUS_CLOSED_FORM:
         starts.append(closed.a_star)
     elif np.linalg.norm(w.V) > 0.0:
@@ -163,7 +166,7 @@ def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
     rng = np.random.default_rng(seed)
     starts.append(rng.uniform(-0.5, 0.5, size=3))
 
-    budget = max_iterations if closed.status != STATUS_UNBOUNDED else 100
+    budget = 400 if closed.status != STATUS_UNBOUNDED else 100
     best = None
     total_iter = 0
     all_converged = True
@@ -180,7 +183,7 @@ def numeric_infimum(surface, data: SurfaceData, a0=(0.0, 0.0, 0.0),
 
 
 def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPLES,
-                       seed: int = 0, embed_tol: float = 1e-9):
+                       seed: int = 0):
     """Energy infima and error indicators on a family of coordinate spheres.
 
     For each radius: extract surface data, solve the isometric embedding,
@@ -200,7 +203,7 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
     for r in radii:
         try:
             sd = coordinate_sphere(data, r, grid)
-            sol = solve_weyl(sd.metric, tol=embed_tol)
+            sol = solve_weyl(sd.metric)
             S = sol.surface
             w = momentum_four_vector(S, sd)
             C = bound_constant_C(S, sd)

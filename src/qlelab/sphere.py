@@ -261,12 +261,11 @@ class InducedMetric:
     tt: np.ndarray          # h_{th th}
     tp: np.ndarray          # h_{th ph}
     pp: np.ndarray          # h_{ph ph}
-    det: np.ndarray = None
-    sqrt_det: np.ndarray = None
-    mu: np.ndarray = None
-    inv_tt: np.ndarray = None
-    inv_tp: np.ndarray = None
-    inv_pp: np.ndarray = None
+    det: np.ndarray = field(init=False)
+    mu: np.ndarray = field(init=False)
+    inv_tt: np.ndarray = field(init=False)
+    inv_tp: np.ndarray = field(init=False)
+    inv_pp: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("tt", "tp", "pp"):
@@ -275,21 +274,10 @@ class InducedMetric:
         if np.any(det <= 0.0) or np.any(self.tt <= 0.0):
             raise SingularMetricError("metric is not positive definite at some node")
         object.__setattr__(self, "det", _frozen(det))
-        sq = np.sqrt(det)
-        object.__setattr__(self, "sqrt_det", _frozen(sq))
-        object.__setattr__(self, "mu", _frozen(sq / self.grid.sin_theta))
+        object.__setattr__(self, "mu", _frozen(np.sqrt(det) / self.grid.sin_theta))
         object.__setattr__(self, "inv_tt", _frozen(self.pp / det))
         object.__setattr__(self, "inv_tp", _frozen(-self.tp / det))
         object.__setattr__(self, "inv_pp", _frozen(self.tt / det))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Per-node 2x2 symmetric matrices, shape (n, 2, 2)."""
-        out = np.empty((self.grid.size, 2, 2))
-        out[:, 0, 0] = self.tt
-        out[:, 0, 1] = out[:, 1, 0] = self.tp
-        out[:, 1, 1] = self.pp
-        return out
 
     def raise_form(self, ath, aph):
         """Contravariant components h^{ab} a_b of a covariant pair."""

@@ -142,6 +142,21 @@ def test_exit_codes(tmp_path):
     assert run(["embed", "--metric", str(metric_file), "--tol", "1e-18"]) == 4
 
 
+def test_config_threads_key(tmp_path):
+    # The BLAS thread cap is a flag only; a config that sets it is rejected.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 1}))
+    assert run(["verify", "--config", str(cfg)]) == 2
+
+
+def test_infimum_config_a0_shape(tmp_path):
+    # A config list a0 skips parse_vector; a wrong length still exits 2.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "schwarzschild", "mass": 1.0, "radius": 5.0,
+                               "band_limit": 12, "a0": [0.1, 0.2]}))
+    assert run(["infimum", "--config", str(cfg)]) == 2
+
+
 def test_verify_subcommand_exit_zero():
     # Invariant tolerances assume L >= 16, the verify default.
     assert run(["verify", "--seed", "7"]) == 0
