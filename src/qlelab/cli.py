@@ -75,31 +75,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _vector(value):
+    import numpy as np
+
+    from .io import parse_vector
+
+    if isinstance(value, str):
+        return parse_vector(value)
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (3,):
+        raise ValueError(f"expected three numbers, got {value!r}")
+    return vec
+
+
+def _radii(value):
+    from .io import parse_radii
+
+    return parse_radii(value) if isinstance(value, str) else [float(r) for r in value]
+
+
+_COERCE = {"seed": int, "band_limit": int, "mass": float, "radius": float, "tol": float,
+           "momentum": _vector, "a": _vector, "a0": _vector, "radii": _radii,
+           "a_samples": lambda samples: [_vector(a) for a in samples]}
+
+
 def _merge(args, config, key, default=None):
+    """The flag, else the config key, else `default`, coerced to the key's type.
+
+    A value of the wrong type raises ConfigError naming the key (exit 2).
+    """
+    from .errors import ConfigError
+
     val = getattr(args, key, None)
-    if val is not None:
+    if val is None:
+        val = config.get(key, default)
+    if val is None or key not in _COERCE:
         return val
-    if key in config:
-        return config[key]
-    return default
+    try:
+        return _COERCE[key](val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
 def _data_from_options(args, config):
     from .errors import ConfigError
     from .initialdata import data_from_config
-    from .io import parse_vector
 
     family = _merge(args, config, "family")
     if family is None:
         raise ConfigError("a data family is required (--family or config key)")
-    momentum = _merge(args, config, "momentum", (0.0, 0.0, 0.0))
-    if isinstance(momentum, str):
-        momentum = parse_vector(momentum).tolist()
     block = {"family": family}
     if family != "flat":
-        block["mass"] = float(_merge(args, config, "mass", 1.0))
+        block["mass"] = _merge(args, config, "mass", 1.0)
         if family == "composite":
-            block["momentum"] = momentum
+            block["momentum"] = _merge(args, config, "momentum", (0.0, 0.0, 0.0))
     return data_from_config(block)
 
 
@@ -120,7 +149,7 @@ def _cmd_embed(args, config):
     if metric_path is None:
         raise ConfigError("embed requires --metric FILE")
     grid, h = metric_from_file(load_json(metric_path))
-    tol = float(_merge(args, config, "tol", 1e-9))
+    tol = _merge(args, config, "tol", 1e-9)
     sol = solve_weyl(h, tol=tol)
     payload = surface_payload(sol.surface)
     payload.update({
@@ -144,19 +173,14 @@ def _surface_reference_data(surface):
 
 
 def _cmd_energy(args, config):
-    import numpy as np
-
     from .energy import BoostVector, wang_yau_energy
     from .errors import ConfigError
-    from .io import fmt, load_json, parse_vector, surface_from_file, write_csv, write_json
+    from .io import fmt, load_json, surface_from_file, write_csv, write_json
     from .sphere import make_grid
 
-    a = _merge(args, config, "a", (0.0, 0.0, 0.0))
-    if isinstance(a, str):
-        a = parse_vector(a)
-    t0 = BoostVector(np.asarray(a, dtype=float))
+    t0 = BoostVector(_merge(args, config, "a", (0.0, 0.0, 0.0)))
 
-    band_limit = int(_merge(args, config, "band_limit", 24))
+    band_limit = _merge(args, config, "band_limit", 24)
     surface_path = _merge(args, config, "surface")
     family = _merge(args, config, "family")
     if surface_path and family:
@@ -171,9 +195,9 @@ def _cmd_energy(args, config):
         if radius is None:
             raise ConfigError("energy on a data family requires --radius")
         ini = _data_from_options(args, config)
-        surface, data = _embedded_sphere(ini, float(radius), grid)
+        surface, data = _embedded_sphere(ini, radius, grid)
         source = {"family": ini.family, "mass": ini.mass,
-                  "momentum": ini.momentum, "radius": float(radius),
+                  "momentum": ini.momentum, "radius": radius,
                   "band_limit": band_limit}
 
     rep = wang_yau_energy(surface, data, t0)
@@ -198,26 +222,22 @@ def _cmd_energy(args, config):
 
 
 def _cmd_infimum(args, config):
-    import numpy as np
-
     from .errors import ConfigError
-    from .io import fmt, parse_vector, write_json
+    from .io import fmt, write_json
     from .optimizer import numeric_infimum
     from .sphere import make_grid
 
-    band_limit = int(_merge(args, config, "band_limit", 24))
+    band_limit = _merge(args, config, "band_limit", 24)
     radius = _merge(args, config, "radius")
     if radius is None:
         raise ConfigError("infimum requires --radius")
     a0 = _merge(args, config, "a0", (0.0, 0.0, 0.0))
-    if isinstance(a0, str):
-        a0 = parse_vector(a0)
-    seed = int(_merge(args, config, "seed", 0))
+    seed = _merge(args, config, "seed", 0)
 
     grid = make_grid(band_limit)
     ini = _data_from_options(args, config)
-    surface, data = _embedded_sphere(ini, float(radius), grid)
-    res = numeric_infimum(surface, data, a0=np.asarray(a0, dtype=float), seed=seed)
+    surface, data = _embedded_sphere(ini, radius, grid)
+    res = numeric_infimum(surface, data, a0=a0, seed=seed)
     payload = {
         "status": res.status,
         "a_star": list(res.a_star),
@@ -238,17 +258,15 @@ def _cmd_infimum(args, config):
 
 def _cmd_sweep(args, config):
     from .errors import ConfigError
-    from .io import fmt, parse_radii, write_csv
+    from .io import fmt, write_csv
     from .optimizer import DEFAULT_A_SAMPLES, large_sphere_sweep
     from .sphere import make_grid
 
     radii = _merge(args, config, "radii")
     if radii is None:
         raise ConfigError("sweep requires --radii")
-    if isinstance(radii, str):
-        radii = parse_radii(radii)
-    band_limit = int(_merge(args, config, "band_limit", 24))
-    seed = int(_merge(args, config, "seed", 0))
+    band_limit = _merge(args, config, "band_limit", 24)
+    seed = _merge(args, config, "seed", 0)
     a_samples = _merge(args, config, "a_samples", DEFAULT_A_SAMPLES)
 
     ini = _data_from_options(args, config)
@@ -277,8 +295,8 @@ def _cmd_sweep(args, config):
 def _cmd_verify(args, config):
     from .verify import run_verify
 
-    seed = int(_merge(args, config, "seed", 0))
-    band_limit = int(_merge(args, config, "band_limit", 24))
+    seed = _merge(args, config, "seed", 0)
+    band_limit = _merge(args, config, "band_limit", 24)
     ok = run_verify(seed=seed, band_limit=band_limit)
     print(f"verify: {'all checks passed' if ok else 'VIOLATIONS FOUND'} "
           f"(seed={seed}, band_limit={band_limit})")

@@ -7,6 +7,17 @@ The residual rows are equilibrated in the orthonormal round frame
 and the whole problem is solved at unit scale (metric divided by
 s^2 = area/4pi) so the tolerance is meaningful for spheres of any size.
 
+The solve is continued in the band limit.  When the start does not already
+meet the tolerance, the same problem is first solved on the coarse grid
+L_c = max(8, L // 2) to a scaled mismatch of 1e-6; each of its steps costs
+about (L_c/L)^6 of a fine one.  The coarse target is the fine metric
+resampled through its smooth ambient form H_ij (see `_ambient_tensor`).
+The coarse coefficients, zero-padded (the flat index l^2 + l + m is the same
+at every L), start the Gauss-Newton loop on the fine grid, which then needs
+0-1 steps instead of 4-5.  The Brioschi convexity check, the tolerance and
+the convergence verdict belong to the fine grid only; the coarse stage only
+supplies a starting point, so a coarse floor above 1e-6 is not an error.
+
 The embedding is unique only up to rigid motions.  The returned surface is
 gauge-fixed deterministically: proper orientation (outward normals), center
 of mass at the origin, and rotation chosen by orthogonal Procrustes
@@ -22,12 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError, InvalidArgumentError, NotConvexError
-from .sphere import InducedMetric, ScalarField, SphereGrid, integrate
+from .sphere import InducedMetric, ScalarField, SphereGrid, integrate, make_grid
 from .surfaces import EmbeddedSurface, surface_geometry
 
 log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-9
 MAX_NEWTON_STEPS = 50
+COARSE_MIN_BAND_LIMIT = 8      # the coarse level is L_c = max(8, L // 2)
+COARSE_TOL = 1e-6              # scaled mismatch at which the coarse stage stops
+
+_UPPER = np.triu_indices(3)                            # the six entries of H_ij
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])     # (i, j) -> entry
 
 
 @dataclass(frozen=True)
@@ -65,38 +81,56 @@ def _nhat_derivatives(grid: SphereGrid):
             "ttt": -t, "ttp": -p, "tpp": -t * flat, "ppp": -p}
 
 
+def _ambient_tensor(h: InducedMetric) -> np.ndarray:
+    """Smooth ambient form of h, (n, 3, 3):
+
+        H_ij = h_ab sigma^{aa'} sigma^{bb'} (d_a' nhat_i)(d_b' nhat_j).
+
+    The raw (th, ph) components of a smooth metric carry frame singularities
+    at the poles; the six entries of H are smooth scalars on the sphere.
+    Since (d_a nhat).(d_c nhat) = sigma_ac, h_ab = (d_a nhat)^T H (d_b nhat).
+    """
+    Ut, Up = h.grid.dnhat()
+    Up = Up * (1.0 / h.grid.sin_theta ** 2)[:, None]
+    return (h.tt[:, None, None] * Ut[:, :, None] * Ut[:, None, :]
+            + h.tp[:, None, None] * (Ut[:, :, None] * Up[:, None, :]
+                                     + Up[:, :, None] * Ut[:, None, :])
+            + h.pp[:, None, None] * Up[:, :, None] * Up[:, None, :])
+
+
+def _resampled_metric(h: InducedMetric, coarse: SphereGrid) -> np.ndarray:
+    """The (tt, tp, pp) components of h on a coarser grid, shape (3, n_c).
+
+    H_ij is analysed on h's grid, its first `coarse.n_coef_work`
+    coefficients are synthesised on `coarse`, and pulled back there as
+    h_ab = (d_a nhat)^T H (d_b nhat).  Exact when H has degree <= L_c + 1.
+    """
+    rows, cols = _UPPER
+    coef = h.grid.analysis(_ambient_tensor(h)[:, rows, cols])[: coarse.n_coef_work]
+    H = coarse.synthesis(coef)[:, _SYM]
+    t, p = coarse.dnhat()
+    return np.stack([np.einsum("nij,ni,nj->n", H, a, b)
+                     for a, b in ((t, t), (t, p), (p, p))])
+
+
 def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
     """Gauss curvature of an abstract metric via the Brioschi formula.
 
-    The raw (th, ph) components of a smooth metric are not smooth scalars on
-    the sphere (they carry frame singularities at the poles), so they are
-    first converted to the smooth ambient tensor
-
-        H_ij = h_ab sigma^{aa'} sigma^{bb'} (d_a' nhat_i)(d_b' nhat_j),
-
-    whose six entries are pole-safe scalars.  Chart derivatives of h are
+    The raw (th, ph) components of h are first converted to the smooth
+    ambient tensor H_ij of `_ambient_tensor`.  Chart derivatives of h are
     then reconstructed from spectral derivatives of H_ij and analytic
     derivatives of nhat, and fed to Brioschi.  Spectrally accurate for every
     smooth metric; used as the convexity precondition of the solver.
     """
     g = h.grid
     dn = _nhat_derivatives(g)
-    inv_s2 = 1.0 / g.sin_theta ** 2
-
-    # Smooth ambient representation H_ij.
-    Ut = dn["t"]
-    Up = dn["p"] * inv_s2[:, None]
-    H = (h.tt[:, None, None] * Ut[:, :, None] * Ut[:, None, :]
-         + h.tp[:, None, None] * (Ut[:, :, None] * Up[:, None, :]
-                                  + Up[:, :, None] * Ut[:, None, :])
-         + h.pp[:, None, None] * Up[:, :, None] * Up[:, None, :])
+    H = _ambient_tensor(h)
 
     # Spectral derivatives of the six smooth entries, as full (n, 3, 3) tensors.
-    rows, cols = np.triu_indices(3)
-    sym = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])     # (i, j) -> entry
+    rows, cols = _UPPER
     coef = g.analysis(H[:, rows, cols])
-    H1 = dict(zip(("t", "p"), (d[:, sym] for d in g.synth_deriv(coef))))
-    H2 = dict(zip(("tt", "tp", "pp"), (d[:, sym] for d in g.second_derivatives(coef))))
+    H1 = dict(zip(("t", "p"), (d[:, _SYM] for d in g.synth_deriv(coef))))
+    H2 = dict(zip(("tt", "tp", "pp"), (d[:, _SYM] for d in g.second_derivatives(coef))))
 
     def key(*letters):
         """Canonical multi-index: all 't's before all 'p's."""
@@ -165,42 +199,21 @@ def _gauge_normalize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     return coeffs @ Q.T
 
 
-def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
-               tol: float = DEFAULT_TOL, max_iterations: int = MAX_NEWTON_STEPS) -> WeylSolution:
-    """Find an isometric embedding X of (S^2, h) into R^3.
+def _gauss_newton(grid: SphereGrid, target: np.ndarray, coeffs: np.ndarray,
+                  tol: float, budget: int):
+    """Gauss-Newton on the (n_coef, 3) coefficients of X on `grid`.
 
-    Preconditions: the Brioschi Gauss curvature of h must be positive
-    everywhere (raises NotConvexError otherwise).  Raises ConvergenceError
-    (carrying the best iterate) if the Gauss-Newton iteration fails to bring
-    the scale-normalized sup-norm mismatch below `tol` within
-    `max_iterations` steps.
+    Drives the metric components of X toward `target` (3, n) with a ridged
+    normal-equation step and a backtracking line search.  Stops when the
+    sup-norm mismatch is <= tol, after `budget` steps, or when the line
+    search finds no decrease.  Returns (best sup mismatch, its coefficients,
+    steps taken); a budget of 0 only measures the start.
     """
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be positive")
-    grid = h.grid
-    k_min = float(np.min(metric_gauss_curvature(h)))
-    log.debug("solve_weyl: Brioschi min K %.6e", k_min)
-    if k_min <= 0.0:
-        raise NotConvexError("metric has nonpositive Gauss curvature somewhere")
-
-    area = float(integrate(ScalarField(grid, np.ones(grid.size)), h))
-    s = np.sqrt(area / (4.0 * np.pi))
-    target = np.stack([h.tt, h.tp, h.pp]) / s ** 2
-
-    if initial_guess is None:
-        X = grid.nhat().copy()
-    else:
-        if not initial_guess.grid.compatible(grid):
-            raise GridMismatchError("initial guess grid does not match the metric")
-        X = initial_guess.X / s
-
     nc = grid.n_coef
     Ytc = grid.Yt[:, :nc]
     Ypc = grid.Yp[:, :nc]
     st = grid.sin_theta
     row_w = np.stack([np.ones_like(st), 1.0 / st, 1.0 / st ** 2])
-
-    coeffs = grid.truncate(grid.analysis(X))
 
     def metric_of(c):
         Xt, Xp = grid.synth_deriv(c)
@@ -212,13 +225,11 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
 
     Xt, Xp, comp = metric_of(coeffs)
     res_vec = (comp - target) * row_w
-    best = (np.abs(comp - target).max(), coeffs)
+    best = (float(np.abs(comp - target).max()), coeffs)
     objective = float(np.sum(res_vec ** 2))
-    iterations = 0
+    steps = 0
 
-    for iterations in range(1, max_iterations + 1):
-        if best[0] <= tol:
-            break
+    while best[0] > tol and steps < budget:
         # Jacobian of the weighted residual w.r.t. the 3*nc coefficients.
         J_tt = 2.0 * np.einsum("nj,nc->njc", Xt, Ytc)
         J_tp = np.einsum("nj,nc->njc", Xt, Ypc) + np.einsum("nj,nc->njc", Xp, Ytc)
@@ -254,18 +265,69 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
             step *= 0.5
         if not improved:
             break
-        sup = np.abs(comp - target).max()
-        log.debug("solve_weyl: iteration %d objective %.3e step %g sup residual %.3e",
-                  iterations, objective, step, sup)
+        steps += 1
+        sup = float(np.abs(comp - target).max())
+        log.debug("solve_weyl: L=%d iteration %d objective %.3e step %g sup residual %.3e",
+                  grid.band_limit, steps, objective, step, sup)
         if sup < best[0]:
             best = (sup, coeffs)
+    return best[0], best[1], steps
 
-    residual_scaled = float(best[0])
+
+def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
+               tol: float = DEFAULT_TOL, max_iterations: int = MAX_NEWTON_STEPS) -> WeylSolution:
+    """Find an isometric embedding X of (S^2, h) into R^3.
+
+    Preconditions: the Brioschi Gauss curvature of h must be positive
+    everywhere (raises NotConvexError otherwise).  Raises ConvergenceError
+    (carrying the best iterate) if the Gauss-Newton iteration fails to bring
+    the scale-normalized sup-norm mismatch below `tol` within
+    `max_iterations` steps, counted over the coarse and the fine grid.
+    `iterations` is the number of Gauss-Newton steps taken.
+    """
+    if tol <= 0.0:
+        raise InvalidArgumentError("tol must be positive")
+    grid = h.grid
+    k_min = float(np.min(metric_gauss_curvature(h)))
+    log.debug("solve_weyl: Brioschi min K %.6e", k_min)
+    if k_min <= 0.0:
+        raise NotConvexError("metric has nonpositive Gauss curvature somewhere")
+
+    area = float(integrate(ScalarField(grid, np.ones(grid.size)), h))
+    s = np.sqrt(area / (4.0 * np.pi))
+    target = np.stack([h.tt, h.tp, h.pp]) / s ** 2
+
+    if initial_guess is None:
+        X = grid.nhat().copy()
+    else:
+        if not initial_guess.grid.compatible(grid):
+            raise GridMismatchError("initial guess grid does not match the metric")
+        X = initial_guess.X / s
+    coeffs = grid.truncate(grid.analysis(X))
+
+    best = _gauss_newton(grid, target, coeffs, tol, 0)
+    coarse_L = max(COARSE_MIN_BAND_LIMIT, grid.band_limit // 2)
+    coarse_steps = fine_steps = 0
+    if best[0] > tol:
+        if coarse_L < grid.band_limit:
+            coarse = make_grid(coarse_L)
+            _, coarse_best, coarse_steps = _gauss_newton(
+                coarse, _resampled_metric(h, coarse) / s ** 2,
+                coeffs[: coarse.n_coef], COARSE_TOL, max_iterations)
+            coeffs = np.zeros_like(coeffs)
+            coeffs[: coarse.n_coef] = coarse_best
+        fine = _gauss_newton(grid, target, coeffs, tol, max_iterations - coarse_steps)
+        fine_steps = fine[2]
+        best = min(best, fine, key=lambda b: b[0])
+    iterations = coarse_steps + fine_steps
+
+    residual_scaled = best[0]
     surface = surface_geometry(grid, coeffs=_gauge_normalize(grid, best[1] * s))
     residual = embedding_residual(surface, h)
     converged = residual_scaled <= tol
-    log.info("solve_weyl: %d iterations, scaled residual %.3e, converged %s",
-             iterations, residual_scaled, converged)
+    log.info("solve_weyl: %d iterations (%d at L=%d, %d at L=%d), scaled residual %.3e, "
+             "converged %s", iterations, coarse_steps, coarse_L, fine_steps,
+             grid.band_limit, residual_scaled, converged)
     solution = WeylSolution(surface=surface, residual=residual,
                             residual_scaled=residual_scaled,
                             iterations=iterations, converged=converged)

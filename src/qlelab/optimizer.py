@@ -61,8 +61,6 @@ class SweepRow:
     inf_numeric: float
     inf_closed: float | None
     eps_max: float
-    embed_iterations: int = 0
-    embed_residual: float = np.nan
     error: str | None = None
 
 
@@ -203,8 +201,7 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
     for r in radii:
         try:
             sd = coordinate_sphere(data, r, grid)
-            sol = solve_weyl(sd.metric)
-            S = sol.surface
+            S = solve_weyl(sd.metric).surface
             w = momentum_four_vector(S, sd)
             C = bound_constant_C(S, sd)
             numeric = numeric_infimum(S, sd, seed=seed)
@@ -217,8 +214,7 @@ def large_sphere_sweep(data: InitialData, radii, grid, a_samples=DEFAULT_A_SAMPL
             rows.append(SweepRow(r=r, m_ly=w.m_ly, V=w.V, causal=w.causal_type,
                                  C=C, inf_numeric=numeric.value,
                                  inf_closed=numeric.closed_form_value,
-                                 eps_max=eps, embed_iterations=sol.iterations,
-                                 embed_residual=sol.residual))
+                                 eps_max=eps))
         except (QlelabError, np.linalg.LinAlgError) as exc:  # per-radius isolation
             error = f"{type(exc).__name__}: {exc}"
             log.info("large_sphere_sweep: radius %g failed: %s", r, error)

@@ -157,6 +157,20 @@ def test_infimum_config_a0_shape(tmp_path):
     assert run(["infimum", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, key, config", [
+    ("verify", "seed", {"seed": "s"}),
+    ("verify", "band_limit", {"band_limit": "x"}),
+    ("infimum", "a0", {"family": "schwarzschild", "mass": 1.0, "radius": 5.0,
+                       "band_limit": 12, "a0": ["x", 0, 0]}),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+
+
 def test_verify_subcommand_exit_zero():
     # Invariant tolerances assume L >= 16, the verify default.
     assert run(["verify", "--seed", "7"]) == 0

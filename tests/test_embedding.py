@@ -5,9 +5,10 @@ import logging
 import numpy as np
 import pytest
 
+from qlelab import embedding, sphere
 from qlelab.embedding import embedding_residual, metric_gauss_curvature, solve_weyl
 from qlelab.errors import ConvergenceError, NotConvexError
-from qlelab.sphere import InducedMetric, ScalarField, integrate, round_metric
+from qlelab.sphere import InducedMetric, ScalarField, integrate, make_grid, round_metric
 from qlelab.surfaces import ellipsoid, harmonic_perturbation, round_sphere
 
 
@@ -106,7 +107,7 @@ def test_weyl_logs_curvature_iterations_and_summary(grid16, caplog):
     assert sum("Brioschi min K" in m for m in messages) == 1
     steps = [rec for rec in caplog.records if "iteration" in rec.getMessage()
              and rec.levelno == logging.DEBUG]
-    assert len(steps) == sol.iterations - 1 >= 1
+    assert len(steps) == sol.iterations >= 1
     summary = [rec for rec in caplog.records if rec.levelno == logging.INFO]
     assert len(summary) == 1 and f"{sol.iterations} iterations" in summary[0].getMessage()
 
@@ -118,3 +119,35 @@ def test_no_convergence_carries_best_iterate(grid16):
     assert err.value.best is not None
     assert err.value.best.converged is False
     assert err.value.best_residual == err.value.best.residual_scaled
+
+
+def test_coarse_target_resamples_band_limited_metric(grid24):
+    # For X = r nhat, h_ab = r_a r_b + r^2 sigma_ab, so H = grad r grad r
+    # + r^2 (I - nhat nhat).  With r of degree <= 4, H has degree <= 10 and
+    # the L_c = 12 grid (work degree 13) resamples it exactly.
+    coeffs = {(2, 1): 0.02, (3, 0): 0.015, (4, -3): 0.01, (4, 2): -0.01}
+    S = harmonic_perturbation(grid24, 1.3, coeffs)
+    coarse = make_grid(12)
+    h = harmonic_perturbation(coarse, 1.3, coeffs).metric
+    assert np.abs(embedding._resampled_metric(S.metric, coarse)
+                  - np.stack([h.tt, h.tp, h.pp])).max() <= 1e-12
+
+
+def test_weyl_continuation_polishes_in_one_fine_step(grid24, caplog):
+    caplog.set_level(logging.DEBUG, logger="qlelab.embedding")
+    E = ellipsoid(grid24, (1.0, 1.3, 1.6))
+    sol = solve_weyl(E.metric)
+    assert np.abs(sol.surface.X - E.X).max() <= 1e-7
+    steps = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.DEBUG
+             and "iteration" in rec.getMessage()]
+    coarse_steps = [m for m in steps if "L=12 iteration" in m]
+    assert len(coarse_steps) >= 1 and len(steps) - len(coarse_steps) <= 1
+
+
+def test_round_metric_never_reaches_the_coarse_grid(grid24, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("make_grid called on the round fast path")
+    monkeypatch.setattr(sphere, "make_grid", no_grid)
+    monkeypatch.setattr(embedding, "make_grid", no_grid)
+    sol = solve_weyl(round_metric(grid24, 1.8))
+    assert sol.converged and sol.iterations == 0
