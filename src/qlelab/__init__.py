@@ -25,9 +25,9 @@ _EXPORTS = {
                "NumericalDomainError", "QlelabError", "SingularMetricError",
                "SingularPointError"],
     "initialdata": ["InitialData", "SurfaceData", "adm_energy", "adm_momentum",
-                    "bowen_york_p", "composite_data", "connection_one_form",
-                    "coordinate_sphere", "data_from_config", "decay_constants",
-                    "flat_data", "schwarzschild_data"],
+                    "bowen_york_p", "composite_data", "coordinate_sphere",
+                    "data_from_config", "decay_constants", "flat_data",
+                    "schwarzschild_data"],
     "optimizer": ["InfimumResult", "SweepRow", "closed_form_infimum",
                   "large_sphere_sweep", "nelder_mead", "numeric_infimum"],
     "sphere": ["InducedMetric", "ScalarField", "SphereGrid", "TangentField",

@@ -22,6 +22,12 @@ colatitude derivative uses
 
 valid away from the poles (all grids in this package use Gauss-Legendre
 nodes, which exclude the poles).
+
+Every basis function is a colatitude factor times a longitude factor, so
+`real_sh_basis` broadcasts theta against phi: on a tensor grid (theta of
+shape (n_theta, 1), phi of shape (1, n_phi)) the recurrence runs once per
+distinct colatitude and the bases are three broadcast products.  Scattered
+points are two 1-d arrays of equal length.
 """
 
 from __future__ import annotations
@@ -49,16 +55,16 @@ def sh_degrees(band_limit: int):
 def _legendre_tables(band_limit, x, sin_th):
     """Normalized associated Legendre Pbar_l^m and th-derivatives at x = cos th.
 
-    Returns dicts keyed by m >= 0 holding arrays of shape
-    (band_limit + 1 - m, npts): rows are l = m .. band_limit.
+    Returns two arrays of shape (band_limit + 1, band_limit + 1, npts),
+    indexed [m, l] and zero where l < m.
     """
     L = band_limit
-    p = {}
-    dp = {}
+    p = np.zeros((L + 1, L + 1, x.size))
+    dp = np.zeros_like(p)
     # Diagonal Pbar_m^m by upward recurrence.
     pmm = np.full_like(x, np.sqrt(1.0 / (4.0 * np.pi)))
     for m in range(L + 1):
-        rows = np.empty((L + 1 - m, x.size))
+        rows = p[m, m:]
         rows[0] = pmm
         if m + 1 <= L:
             rows[1] = x * np.sqrt(2.0 * m + 3.0) * pmm
@@ -66,16 +72,12 @@ def _legendre_tables(band_limit, x, sin_th):
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             rows[l - m] = a * (x * rows[l - m - 1] - b * rows[l - m - 2])
-        p[m] = rows
 
-        drows = np.empty_like(rows)
-        for l in range(m, L + 1):
-            if l == m:
-                low = 0.0
-            else:
-                low = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) * rows[l - 1 - m]
-            drows[l - m] = (l * x * rows[l - m] - low) / sin_th
-        dp[m] = drows
+        ls = np.arange(m, L + 1)[:, None]
+        c = np.sqrt((ls ** 2 - m * m) * (2.0 * ls + 1.0) / (2.0 * ls - 1.0))
+        low = np.zeros_like(rows)
+        low[1:] = c[1:] * rows[:-1]
+        dp[m, m:] = (ls * x * rows - low) / sin_th
 
         # Seed the next diagonal: Pbar_{m+1}^{m+1}.
         pmm = pmm * sin_th * np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
@@ -86,45 +88,37 @@ def real_sh_basis(theta, phi, band_limit):
     """Evaluate the real harmonic basis and its first angular derivatives.
 
     Args:
-        theta, phi: 1-d arrays of equal length; theta strictly inside (0, pi).
+        theta, phi: arrays that broadcast against each other, theta strictly
+            inside (0, pi): two 1-d arrays of equal length for scattered
+            points, or shapes (n_theta, 1) and (1, n_phi) for a tensor grid,
+            where the Legendre recurrence then runs once per colatitude.
         band_limit: maximum degree L.
 
     Returns:
-        (Y, dY_dtheta, dY_dphi), each (npts, (L+1)^2).
+        (Y, dY_dtheta, dY_dphi), each broadcast(theta, phi).shape + ((L+1)^2,).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    x = np.cos(theta)
-    st = np.sin(theta)
+    x = np.cos(theta).ravel()
+    st = np.sin(theta).ravel()
     if np.any(st <= 0.0):
         raise ValueError("basis evaluation requires 0 < theta < pi")
     L = band_limit
-    n = theta.size
-    ncoef = sh_count(L)
-    Y = np.empty((n, ncoef))
-    Yt = np.empty((n, ncoef))
-    Yp = np.empty((n, ncoef))
+    ls, ms = sh_degrees(L)
+    am = np.abs(ms)
 
+    # Colatitude factors, theta.shape + (ncoef,).
     p, dp = _legendre_tables(L, x, st)
     sqrt2 = np.sqrt(2.0)
-    cosm = {m: np.cos(m * phi) for m in range(L + 1)}
-    sinm = {m: np.sin(m * phi) for m in range(L + 1)}
-    for l in range(L + 1):
-        for m in range(0, l + 1):
-            pl = p[m][l - m]
-            dpl = dp[m][l - m]
-            if m == 0:
-                j = sh_index(l, 0)
-                Y[:, j] = pl
-                Yt[:, j] = dpl
-                Yp[:, j] = 0.0
-            else:
-                jc = sh_index(l, m)
-                js = sh_index(l, -m)
-                Y[:, jc] = sqrt2 * pl * cosm[m]
-                Y[:, js] = sqrt2 * pl * sinm[m]
-                Yt[:, jc] = sqrt2 * dpl * cosm[m]
-                Yt[:, js] = sqrt2 * dpl * sinm[m]
-                Yp[:, jc] = -m * sqrt2 * pl * sinm[m]
-                Yp[:, js] = m * sqrt2 * pl * cosm[m]
-    return Y, Yt, Yp
+    # C order here makes the broadcast products below C-contiguous.
+    P, dP = (np.ascontiguousarray(t[am, ls].T).reshape(theta.shape + (-1,)) for t in (p, dp))
+    scale = np.where(ms == 0, 1.0, sqrt2)
+    fY, fYt = scale * P, scale * dP
+    fYp = np.where(ms == 0, 0.0, -ms * sqrt2 * P)
+
+    # Longitude factors, phi.shape + (ncoef,): 1 for m = 0, else cos or sin.
+    mphi = np.arange(L + 1) * phi[..., None]
+    cosm, sinm = (np.take(f(mphi), am, axis=-1) for f in (np.cos, np.sin))
+    lon = np.where(ms < 0, sinm, cosm)
+    lon_p = np.where(ms > 0, sinm, cosm)
+    return fY * lon, fYt * lon, fYp * lon_p

@@ -299,11 +299,6 @@ def coordinate_sphere(data: InitialData, r: float, grid: SphereGrid) -> SurfaceD
                        alpha_cov=np.stack([a_t, a_p], axis=-1), nu=nu)
 
 
-def connection_one_form(data: InitialData, r: float, grid: SphereGrid) -> TangentField:
-    """Dual vector of the connection 1-form alpha on the coordinate sphere."""
-    return coordinate_sphere(data, r, grid).alpha
-
-
 def adm_energy(data: InitialData, r: float, grid: SphereGrid | None = None) -> float:
     """Finite-radius ADM energy integral
 

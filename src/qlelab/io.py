@@ -91,11 +91,18 @@ def _require_keys(obj: dict, allowed, what: str):
         raise ConfigError(f"unknown keys in {what}: {sorted(extra)}")
 
 
+def _file_band_limit(payload: dict, what: str) -> int:
+    value = payload.get("band_limit", 24)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what}: 'band_limit' must be an integer, got {value!r}")
+    return value
+
+
 def surface_from_file(payload: dict, grid: SphereGrid | None = None):
     """Build (grid, EmbeddedSurface) from a parsed surface file."""
     _require_keys(payload, {"band_limit", "X", "X_coeffs"}, "surface file")
     if grid is None:
-        grid = make_grid(int(payload.get("band_limit", 24)))
+        grid = make_grid(_file_band_limit(payload, "surface file"))
     if ("X" in payload) == ("X_coeffs" in payload):
         raise ConfigError("surface file needs exactly one of 'X', 'X_coeffs'")
     if "X" in payload:
@@ -121,7 +128,7 @@ def metric_from_file(payload: dict, grid: SphereGrid | None = None):
     """Build (grid, InducedMetric) from a parsed metric file."""
     _require_keys(payload, {"band_limit", "h", "surface"}, "metric file")
     if grid is None:
-        grid = make_grid(int(payload.get("band_limit", 24)))
+        grid = make_grid(_file_band_limit(payload, "metric file"))
     if ("h" in payload) == ("surface" in payload):
         raise ConfigError("metric file needs exactly one of 'h', 'surface'")
     if "surface" in payload:

@@ -62,7 +62,7 @@ class SphereGrid:
     Y: np.ndarray           # (n, n_coef_work) synthesis matrix
     Yt: np.ndarray          # (n, n_coef_work) d/dtheta synthesis
     Yp: np.ndarray          # (n, n_coef_work) d/dphi synthesis
-    WY: np.ndarray = field(repr=False, default=None)  # weights[:, None] * Y
+    WY: np.ndarray = field(repr=False)  # weights[:, None] * Y
 
     @property
     def size(self) -> int:
@@ -191,7 +191,8 @@ def make_grid(band_limit: int = DEFAULT_BAND_LIMIT) -> SphereGrid:
     phi = np.tile(phi_1d, n_theta)
     weights = np.repeat(w_1d, n_phi) * (2.0 * np.pi / n_phi)
 
-    Y, Yt, Yp = real_sh_basis(theta, phi, work)
+    Y, Yt, Yp = (b.reshape(theta.size, -1)
+                 for b in real_sh_basis(theta_1d[:, None], phi_1d[None, :], work))
     grid = SphereGrid(
         band_limit=L,
         work_degree=work,

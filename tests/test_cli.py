@@ -171,6 +171,19 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, conf
     assert repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("band_limit", ["x", None, 24.5])
+@pytest.mark.parametrize("command, flag, payload", [
+    ("embed", "--metric", {"surface": {"kind": "round", "radius": 1.0}}),
+    ("energy", "--surface", {"X": {"kind": "round", "radius": 1.0}}),
+])
+def test_file_band_limit_must_be_an_integer(tmp_path, capsys, command, flag, payload, band_limit):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(payload, band_limit=band_limit)))
+    assert run([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'band_limit'" in err and "Traceback" not in err
+
+
 def test_verify_subcommand_exit_zero():
     # Invariant tolerances assume L >= 16, the verify default.
     assert run(["verify", "--seed", "7"]) == 0

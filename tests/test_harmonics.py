@@ -1,6 +1,7 @@
 """Basis-level checks: orthonormality, indexing, analytic derivatives."""
 
 import numpy as np
+import pytest
 
 from qlelab.harmonics import real_sh_basis, sh_count, sh_degrees, sh_index
 from qlelab.sphere import make_grid
@@ -28,6 +29,38 @@ def test_low_degree_closed_forms(grid16):
     assert np.abs(g.Y[:, sh_index(1, 0)] - np.sqrt(3 / (4 * np.pi)) * z).max() < 1e-14
     y20 = np.sqrt(5 / (16 * np.pi)) * (3 * z ** 2 - 1)
     assert np.abs(g.Y[:, sh_index(2, 0)] - y20).max() < 1e-14
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("L", [4, 8, 12, 16, 24])
+def test_grid_bases_match_evaluation_at_the_nodes(L):
+    # make_grid evaluates on the (theta, phi) tensor; evaluating the flat
+    # node list must give the same matrices bit for bit.
+    g = make_grid(L)
+    for got, want in zip((g.Y, g.Yt, g.Yp), real_sh_basis(g.theta, g.phi, g.work_degree)):
+        assert _same_bits(got, want)
+    assert _same_bits(g.WY, g.weights[:, None] * g.Y)
+    # A Fortran-ordered or writable basis would slow or endanger every transform.
+    for a in (g.Y, g.Yt, g.Yp, g.WY):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+
+
+def test_basis_broadcasts_theta_against_phi():
+    L = 7
+    th = np.array([0.3, 1.2, 2.9])
+    ph = np.array([0.0, 0.7, 2.5, 4.4, 6.1])
+    tensor = real_sh_basis(th[:, None], ph[None, :], L)
+    flat = real_sh_basis(np.repeat(th, ph.size), np.tile(ph, th.size), L)
+    for t, f in zip(tensor, flat):
+        assert t.shape == (th.size, ph.size, sh_count(L))
+        assert _same_bits(t.reshape(f.shape), f)
+
+
+def test_make_grid_cache_keys_on_the_integer():
+    assert make_grid(np.int64(24)) is make_grid(24)
 
 
 def test_angular_derivatives_vs_finite_differences():

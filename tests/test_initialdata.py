@@ -5,8 +5,8 @@ import pytest
 
 from qlelab.errors import InvalidArgumentError, NotSpacelikeError, SingularPointError
 from qlelab.initialdata import (adm_energy, adm_momentum, bowen_york_p, composite_data,
-                                connection_one_form, coordinate_sphere, data_from_config,
-                                decay_constants, flat_data, schwarzschild_data)
+                                coordinate_sphere, data_from_config, decay_constants,
+                                flat_data, schwarzschild_data)
 from qlelab.sphere import ScalarField, integrate
 
 
@@ -140,7 +140,7 @@ def test_connection_form_gauge_shift(grid16):
     const = np.full(g.size, 0.37)
     dt, dp = g.angular_derivatives(const)
     assert np.abs(dt).max() <= 1e-12 and np.abs(dp).max() <= 1e-12
-    v = connection_one_form(composite_data(1.0, (0.3, 0, 0)), 50.0, grid16)
+    v = coordinate_sphere(composite_data(1.0, (0.3, 0, 0)), 50.0, grid16).alpha
     assert np.all(np.isfinite(v.vth)) and np.all(np.isfinite(v.vph))
 
 
