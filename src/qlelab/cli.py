@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", parents=[common],
                        help="solve the isometric embedding of a metric file")
-    p.add_argument("--metric", help="metric file (harmonic coefficients of h)")
+    p.add_argument("--metric", help="metric file (harmonic coefficients of H_ij)")
     p.add_argument("--tol", type=float, help="embedding residual tolerance")
 
     for name in ("energy", "infimum"):
@@ -88,13 +88,19 @@ def _vector(value):
     return vec
 
 
+def _integer(value):
+    from .io import check_int
+
+    return check_int(value)
+
+
 def _radii(value):
     from .io import parse_radii
 
     return parse_radii(value) if isinstance(value, str) else [float(r) for r in value]
 
 
-_COERCE = {"seed": int, "band_limit": int, "mass": float, "radius": float, "tol": float,
+_COERCE = {"seed": _integer, "band_limit": _integer, "mass": float, "radius": float, "tol": float,
            "momentum": _vector, "a": _vector, "a0": _vector, "radii": _radii,
            "a_samples": lambda samples: [_vector(a) for a in samples]}
 

@@ -11,12 +11,13 @@ The solve is continued in the band limit.  When the start does not already
 meet the tolerance, the same problem is first solved on the coarse grid
 L_c = max(8, L // 2) to a scaled mismatch of 1e-6; each of its steps costs
 about (L_c/L)^6 of a fine one.  The coarse target is the fine metric
-resampled through its smooth ambient form H_ij (see `_ambient_tensor`).
-The coarse coefficients, zero-padded (the flat index l^2 + l + m is the same
-at every L), start the Gauss-Newton loop on the fine grid, which then needs
-0-1 steps instead of 4-5.  The Brioschi convexity check, the tolerance and
-the convergence verdict belong to the fine grid only; the coarse stage only
-supplies a starting point, so a coarse floor above 1e-6 is not an error.
+resampled through its smooth ambient form H_ij (`sphere.ambient_coeffs`,
+truncated, then `sphere.metric_from_ambient`).  The coarse coefficients,
+zero-padded (the flat index l^2 + l + m is the same at every L), start the
+Gauss-Newton loop on the fine grid, which then needs 0-1 steps instead of
+4-5.  The Brioschi convexity check, the tolerance and the convergence
+verdict belong to the fine grid only; the coarse stage only supplies a
+starting point, so a coarse floor above 1e-6 is not an error.
 
 The embedding is unique only up to rigid motions.  The returned surface is
 gauge-fixed deterministically: proper orientation (outward normals), center
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError, InvalidArgumentError, NotConvexError
-from .sphere import InducedMetric, ScalarField, SphereGrid, integrate, make_grid
+from .sphere import (_SYM, _UPPER, InducedMetric, ScalarField, SphereGrid, ambient_coeffs,
+                     ambient_tensor, integrate, make_grid, metric_from_ambient)
 from .surfaces import EmbeddedSurface, surface_geometry
 
 log = logging.getLogger(__name__)
@@ -41,9 +43,6 @@ DEFAULT_TOL = 1e-9
 MAX_NEWTON_STEPS = 50
 COARSE_MIN_BAND_LIMIT = 8      # the coarse level is L_c = max(8, L // 2)
 COARSE_TOL = 1e-6              # scaled mismatch at which the coarse stage stops
-
-_UPPER = np.triu_indices(3)                            # the six entries of H_ij
-_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])     # (i, j) -> entry
 
 
 @dataclass(frozen=True)
@@ -81,54 +80,21 @@ def _nhat_derivatives(grid: SphereGrid):
             "ttt": -t, "ttp": -p, "tpp": -t * flat, "ppp": -p}
 
 
-def _ambient_tensor(h: InducedMetric) -> np.ndarray:
-    """Smooth ambient form of h, (n, 3, 3):
-
-        H_ij = h_ab sigma^{aa'} sigma^{bb'} (d_a' nhat_i)(d_b' nhat_j).
-
-    The raw (th, ph) components of a smooth metric carry frame singularities
-    at the poles; the six entries of H are smooth scalars on the sphere.
-    Since (d_a nhat).(d_c nhat) = sigma_ac, h_ab = (d_a nhat)^T H (d_b nhat).
-    """
-    Ut, Up = h.grid.dnhat()
-    Up = Up * (1.0 / h.grid.sin_theta ** 2)[:, None]
-    return (h.tt[:, None, None] * Ut[:, :, None] * Ut[:, None, :]
-            + h.tp[:, None, None] * (Ut[:, :, None] * Up[:, None, :]
-                                     + Up[:, :, None] * Ut[:, None, :])
-            + h.pp[:, None, None] * Up[:, :, None] * Up[:, None, :])
-
-
-def _resampled_metric(h: InducedMetric, coarse: SphereGrid) -> np.ndarray:
-    """The (tt, tp, pp) components of h on a coarser grid, shape (3, n_c).
-
-    H_ij is analysed on h's grid, its first `coarse.n_coef_work`
-    coefficients are synthesised on `coarse`, and pulled back there as
-    h_ab = (d_a nhat)^T H (d_b nhat).  Exact when H has degree <= L_c + 1.
-    """
-    rows, cols = _UPPER
-    coef = h.grid.analysis(_ambient_tensor(h)[:, rows, cols])[: coarse.n_coef_work]
-    H = coarse.synthesis(coef)[:, _SYM]
-    t, p = coarse.dnhat()
-    return np.stack([np.einsum("nij,ni,nj->n", H, a, b)
-                     for a, b in ((t, t), (t, p), (p, p))])
-
-
 def metric_gauss_curvature(h: InducedMetric) -> np.ndarray:
     """Gauss curvature of an abstract metric via the Brioschi formula.
 
     The raw (th, ph) components of h are first converted to the smooth
-    ambient tensor H_ij of `_ambient_tensor`.  Chart derivatives of h are
-    then reconstructed from spectral derivatives of H_ij and analytic
+    ambient tensor H_ij (`sphere.ambient_tensor`).  Chart derivatives of h
+    are then reconstructed from spectral derivatives of H_ij and analytic
     derivatives of nhat, and fed to Brioschi.  Spectrally accurate for every
     smooth metric; used as the convexity precondition of the solver.
     """
     g = h.grid
     dn = _nhat_derivatives(g)
-    H = _ambient_tensor(h)
+    H = ambient_tensor(h)
 
     # Spectral derivatives of the six smooth entries, as full (n, 3, 3) tensors.
-    rows, cols = _UPPER
-    coef = g.analysis(H[:, rows, cols])
+    coef = g.analysis(H[_UPPER])
     H1 = dict(zip(("t", "p"), (d[:, _SYM] for d in g.synth_deriv(coef))))
     H2 = dict(zip(("tt", "tp", "pp"), (d[:, _SYM] for d in g.second_derivatives(coef))))
 
@@ -311,8 +277,9 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
     if best[0] > tol:
         if coarse_L < grid.band_limit:
             coarse = make_grid(coarse_L)
+            hc = metric_from_ambient(coarse, ambient_coeffs(h)[: coarse.n_coef_work])
             _, coarse_best, coarse_steps = _gauss_newton(
-                coarse, _resampled_metric(h, coarse) / s ** 2,
+                coarse, np.stack([hc.tt, hc.tp, hc.pp]) / s ** 2,
                 coeffs[: coarse.n_coef], COARSE_TOL, max_iterations)
             coeffs = np.zeros_like(coeffs)
             coeffs[: coarse.n_coef] = coarse_best

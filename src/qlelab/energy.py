@@ -275,8 +275,6 @@ def synthetic_surface_data(surface: EmbeddedSurface, hnorm, alpha=None) -> Surfa
         raise InvalidArgumentError("hnorm must be positive at every node")
     if alpha is None:
         alpha = TangentField(grid, np.zeros(grid.size), np.zeros(grid.size))
-    a_t, a_p = surface.metric.lower_vector(alpha.vth, alpha.vph)
-    return SurfaceData(grid=grid, r=0.0, metric=surface.metric, k=hnorm,
+    return SurfaceData(grid=grid, metric=surface.metric, k=hnorm,
                        trp=np.zeros(grid.size), hnorm=hnorm, alpha=alpha,
-                       alpha_cov=np.stack([a_t, a_p], axis=-1),
                        nu=surface.normal)

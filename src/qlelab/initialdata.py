@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidArgumentError, NotSpacelikeError, SingularPointError)
-from .sphere import InducedMetric, SphereGrid, TangentField, _frozen, make_grid
+from .sphere import InducedMetric, SphereGrid, TangentField, _frozen, make_grid, pullback
 
 FAMILIES = ("schwarzschild", "composite", "flat")
 
@@ -210,22 +210,19 @@ def data_from_config(cfg: dict) -> InitialData:
 class SurfaceData:
     """Physical data extracted on a coordinate sphere S_r.
 
-    `alpha` stores the connection 1-form through its metric-dual tangent
-    vector; `alpha_cov` keeps the covariant (th, ph) components.
+    `alpha` stores the connection 1-form through its metric-dual tangent vector.
     """
 
     grid: SphereGrid
-    r: float
     metric: InducedMetric
     k: np.ndarray            # mean curvature of S_r in (M, g), outward
     trp: np.ndarray          # tr_{S_r} p
     hnorm: np.ndarray        # |H| = sqrt(k^2 - trp^2)
     alpha: TangentField
-    alpha_cov: np.ndarray    # (n, 2) covariant components
     nu: np.ndarray           # (n, 3) outward unit normal components nu^i
 
     def __post_init__(self):
-        for name in ("k", "trp", "hnorm", "alpha_cov", "nu"):
+        for name in ("k", "trp", "hnorm", "nu"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
@@ -269,15 +266,8 @@ def coordinate_sphere(data: InitialData, r: float, grid: SphereGrid) -> SurfaceD
     """
     g, p, nu, k, trp = _sphere_fields(data, r, grid)
 
-    dnth, dnph = grid.dnhat()
-    yt = r * dnth
-    yp = r * dnph
-    h = InducedMetric(
-        grid,
-        np.einsum("nij,ni,nj->n", g, yt, yt),
-        np.einsum("nij,ni,nj->n", g, yt, yp),
-        np.einsum("nij,ni,nj->n", g, yp, yp),
-    )
+    yt, yp = (r * d for d in grid.dnhat())
+    h = pullback(grid, g, yt, yp)
 
     if np.any(k <= np.abs(trp)):
         raise NotSpacelikeError(
@@ -294,9 +284,8 @@ def coordinate_sphere(data: InitialData, r: float, grid: SphereGrid) -> SurfaceD
     vth, vph = h.raise_form(a_t, a_p)
     alpha = TangentField(grid, vth, vph)
 
-    return SurfaceData(grid=grid, r=float(r), metric=h, k=k, trp=trp,
-                       hnorm=hnorm, alpha=alpha,
-                       alpha_cov=np.stack([a_t, a_p], axis=-1), nu=nu)
+    return SurfaceData(grid=grid, metric=h, k=k, trp=trp, hnorm=hnorm,
+                       alpha=alpha, nu=nu)
 
 
 def adm_energy(data: InitialData, r: float, grid: SphereGrid | None = None) -> float:

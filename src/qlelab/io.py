@@ -6,14 +6,15 @@ atomic (temp file + rename).
 
 Surface file:   {"band_limit": L, "X": {"kind": ...}} or
                 {"band_limit": L, "X_coeffs": [[...], [...], [...]]}
-Metric file:    {"band_limit": L, "h": {"theta_theta": [...],
-                 "theta_phi": [...], "phi_phi": [...]}} or
+Metric file:    {"band_limit": L, "H": {"xx": [...], "xy": [...], "xz": [...],
+                 "yy": [...], "yz": [...], "zz": [...]}} or
                 {"band_limit": L, "surface": {...X spec...}}
 Data config:    {"family": "schwarzschild"|"composite"|"flat",
                  "mass": m, "momentum": [p1, p2, p3]}
 
 Coefficient lists use the real spherical-harmonic ordering with l ascending
-and m from -l to l (flat index l^2 + l + m).
+and m from -l to l (flat index l^2 + l + m), up to degree L.  A metric is
+stored as its smooth ambient tensor H_ij (`sphere.ambient_tensor`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .sphere import InducedMetric, SphereGrid, make_grid
+from .sphere import InducedMetric, SphereGrid, ambient_coeffs, make_grid, metric_from_ambient
 from .surfaces import EmbeddedSurface, surface_from_spec, surface_geometry
 
 
@@ -91,11 +92,18 @@ def _require_keys(obj: dict, allowed, what: str):
         raise ConfigError(f"unknown keys in {what}: {sorted(extra)}")
 
 
-def _file_band_limit(payload: dict, what: str) -> int:
-    value = payload.get("band_limit", 24)
+def check_int(value) -> int:
+    """`value` itself if it is an int; a bool, float or string is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what}: 'band_limit' must be an integer, got {value!r}")
+        raise TypeError(f"must be an integer, got {value!r}")
     return value
+
+
+def _file_band_limit(payload: dict, what: str) -> int:
+    try:
+        return check_int(payload.get("band_limit", 24))
+    except TypeError as exc:
+        raise ConfigError(f"{what}: 'band_limit' {exc}") from None
 
 
 def surface_from_file(payload: dict, grid: SphereGrid | None = None):
@@ -124,43 +132,38 @@ def surface_payload(surface: EmbeddedSurface) -> dict:
     }
 
 
+_AMBIENT_KEYS = ("xx", "xy", "xz", "yy", "yz", "zz")   # order of `ambient_coeffs`
+
+
 def metric_from_file(payload: dict, grid: SphereGrid | None = None):
     """Build (grid, InducedMetric) from a parsed metric file."""
-    _require_keys(payload, {"band_limit", "h", "surface"}, "metric file")
+    _require_keys(payload, {"band_limit", "H", "surface"}, "metric file")
     if grid is None:
         grid = make_grid(_file_band_limit(payload, "metric file"))
-    if ("h" in payload) == ("surface" in payload):
-        raise ConfigError("metric file needs exactly one of 'h', 'surface'")
+    if ("H" in payload) == ("surface" in payload):
+        raise ConfigError("metric file needs exactly one of 'H', 'surface'")
     if "surface" in payload:
         try:
             return grid, surface_from_spec(grid, payload["surface"]).metric
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from exc
-    h = payload["h"]
-    _require_keys(h, {"theta_theta", "theta_phi", "phi_phi"}, "metric components")
-    comps = []
-    for key in ("theta_theta", "theta_phi", "phi_phi"):
-        if key not in h:
+    H = payload["H"]
+    _require_keys(H, _AMBIENT_KEYS, "metric components")
+    coeffs = np.zeros((grid.n_coef, len(_AMBIENT_KEYS)))
+    for j, key in enumerate(_AMBIENT_KEYS):
+        if key not in H:
             raise ConfigError(f"metric file is missing component {key!r}")
-        c = np.asarray(h[key], dtype=float)
+        c = np.asarray(H[key], dtype=float)
         if c.size > grid.n_coef:
             raise ConfigError(f"component {key!r} exceeds the band limit")
-        full = np.zeros(grid.n_coef)
-        full[: c.size] = c
-        comps.append(grid.synthesis(full))
-    return grid, InducedMetric(grid, comps[0], comps[1], comps[2])
+        coeffs[: c.size, j] = c
+    return grid, metric_from_ambient(grid, coeffs)
 
 
 def metric_payload(h: InducedMetric) -> dict:
-    g = h.grid
-    return {
-        "band_limit": g.band_limit,
-        "h": {
-            "theta_theta": g.truncate(g.analysis(h.tt)),
-            "theta_phi": g.truncate(g.analysis(h.tp)),
-            "phi_phi": g.truncate(g.analysis(h.pp)),
-        },
-    }
+    coeffs = h.grid.truncate(ambient_coeffs(h))
+    return {"band_limit": h.grid.band_limit,
+            "H": {key: coeffs[:, j] for j, key in enumerate(_AMBIENT_KEYS)}}
 
 
 def parse_radii(text: str):

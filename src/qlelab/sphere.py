@@ -21,6 +21,9 @@ pushforward W = dX0(V) onto the unit sphere embedding X0 = nhat:
     div_sigma V = sum_j < grad_sigma W^j , e_j >,
 
 which touches only the smooth R^3-valued components W^j.
+
+A metric leaves its grid (for a file or another band limit) as the smooth
+ambient tensor H_ij and comes back by one pullback (`metric_from_ambient`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .errors import GridMismatchError, InvalidArgumentError, SingularMetricError
 from .harmonics import real_sh_basis, sh_count, sh_degrees
 
 DEFAULT_BAND_LIMIT = 24
+
+_UPPER = (slice(None),) + np.triu_indices(3)           # (n, 3, 3) -> its six entries
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])     # (i, j) -> entry
 
 
 def _frozen(a):
@@ -285,10 +291,6 @@ class InducedMetric:
         return (self.inv_tt * ath + self.inv_tp * aph,
                 self.inv_tp * ath + self.inv_pp * aph)
 
-    def lower_vector(self, vth, vph):
-        return (self.tt * vth + self.tp * vph,
-                self.tp * vth + self.pp * vph)
-
     def inner(self, u: TangentField, v: TangentField):
         """Pointwise h(u, v) for contravariant tangent fields."""
         return (self.tt * u.vth * v.vth + self.tp * (u.vth * v.vph + u.vph * v.vth)
@@ -301,6 +303,39 @@ def round_metric(grid: SphereGrid, radius: float = 1.0) -> InducedMetric:
     n = grid.size
     return InducedMetric(grid, np.full(n, r2), np.zeros(n),
                          r2 * grid.sin_theta ** 2)
+
+
+def pullback(grid: SphereGrid, H, t, p) -> InducedMetric:
+    """The metric h_ab = t_a^T H t_b along the (n, 3) vectors (t_th, t_ph) = (t, p)."""
+    return InducedMetric(grid, *(np.einsum("nij,ni,nj->n", H, a, b)
+                                 for a, b in ((t, t), (t, p), (p, p))))
+
+
+def ambient_tensor(h: InducedMetric) -> np.ndarray:
+    """Smooth ambient form of h, (n, 3, 3):
+
+        H_ij = h_ab sigma^{aa'} sigma^{bb'} (d_a' nhat_i)(d_b' nhat_j).
+
+    The raw (th, ph) components of a smooth metric carry frame singularities
+    at the poles; the six entries of H are smooth scalars on the sphere.
+    Since (d_a nhat).(d_c nhat) = sigma_ac, h = pullback(grid, H, *dnhat()).
+    """
+    Ut, Up = h.grid.dnhat()
+    Up = Up * (1.0 / h.grid.sin_theta ** 2)[:, None]
+    return (h.tt[:, None, None] * Ut[:, :, None] * Ut[:, None, :]
+            + h.tp[:, None, None] * (Ut[:, :, None] * Up[:, None, :]
+                                     + Up[:, :, None] * Ut[:, None, :])
+            + h.pp[:, None, None] * Up[:, :, None] * Up[:, None, :])
+
+
+def ambient_coeffs(h: InducedMetric) -> np.ndarray:
+    """(n_coef_work, 6) coefficients of H_xx, H_xy, H_xz, H_yy, H_yz, H_zz."""
+    return h.grid.analysis(ambient_tensor(h)[_UPPER])
+
+
+def metric_from_ambient(grid: SphereGrid, coeffs) -> InducedMetric:
+    """The metric on `grid` whose H_ij has these `ambient_coeffs`-style coefficients."""
+    return pullback(grid, grid.synthesis(coeffs)[:, _SYM], *grid.dnhat())
 
 
 def integrate(f: ScalarField, h: InducedMetric) -> float:

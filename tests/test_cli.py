@@ -10,9 +10,10 @@ import pytest
 
 import qlelab
 from qlelab.cli import run
-from qlelab.io import load_json, metric_payload, parse_radii, parse_vector, write_json
+from qlelab.io import (load_json, metric_from_file, metric_payload, parse_radii, parse_vector,
+                       write_json)
 from qlelab.sphere import make_grid
-from qlelab.surfaces import ellipsoid
+from qlelab.surfaces import ellipsoid, harmonic_perturbation
 
 
 def test_parse_helpers():
@@ -70,6 +71,45 @@ def test_embed_subcommand_roundtrip(tmp_path):
     assert payload["residual"] <= 1e-8
     assert len(payload["X_coeffs"]) == 3
     assert len(payload["X_coeffs"][0]) == g.n_coef
+
+
+@pytest.mark.parametrize("band_limit", [16, 24, 32])
+@pytest.mark.parametrize("make_surface", [
+    lambda g: ellipsoid(g, (1.0, 1.3, 1.6)),
+    lambda g: harmonic_perturbation(g, 1.0, {(2, 1): 0.03, (3, -2): 0.02, (4, 3): 0.015}),
+], ids=["ellipsoid", "perturbation"])
+def test_metric_file_round_trip(tmp_path, band_limit, make_surface):
+    # Neither surface is axisymmetric, so the chart components of h depend on
+    # phi at the poles; the ambient entries H_ij are smooth and round-trip.
+    h = make_surface(make_grid(band_limit)).metric
+    metric_file = tmp_path / "metric.json"
+    write_json(str(metric_file), metric_payload(h))
+    grid, back = metric_from_file(load_json(str(metric_file)))
+    assert grid.band_limit == band_limit
+    assert np.abs(np.stack([back.tt - h.tt, back.tp - h.tp, back.pp - h.pp])).max() <= 1e-12
+
+
+def test_embed_nonaxisymmetric_metric_file(tmp_path):
+    metric_file = tmp_path / "metric.json"
+    write_json(str(metric_file), metric_payload(ellipsoid(make_grid(24), (1.0, 1.3, 1.6)).metric))
+    out = tmp_path / "solution.json"
+    assert run(["embed", "--metric", str(metric_file), "--out", str(out)]) == 0
+    assert load_json(str(out))["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("'h'", lambda p: {"band_limit": 8, "h": {"theta_theta": [1.0], "theta_phi": [0.0],
+                                              "phi_phi": [1.0]}}),
+    ("'yz'", lambda p: dict(p, H={k: v for k, v in p["H"].items() if k != "yz"})),
+    ("'zz'", lambda p: dict(p, H=dict(p["H"], zz=list(p["H"]["zz"]) + [0.0]))),
+], ids=["old-h-form", "missing-component", "over-long-component"])
+def test_bad_metric_file_exits_2(tmp_path, capsys, key, edit):
+    metric_file = tmp_path / "metric.json"
+    write_json(str(metric_file), metric_payload(ellipsoid(make_grid(8)).metric))
+    metric_file.write_text(json.dumps(edit(load_json(str(metric_file)))))
+    assert run(["embed", "--metric", str(metric_file)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 def test_embed_from_surface_spec(tmp_path):
@@ -162,6 +202,9 @@ def test_infimum_config_a0_shape(tmp_path):
     ("verify", "band_limit", {"band_limit": "x"}),
     ("infimum", "a0", {"family": "schwarzschild", "mass": 1.0, "radius": 5.0,
                        "band_limit": 12, "a0": ["x", 0, 0]}),
+    ("energy", "band_limit", {"family": "flat", "radius": 5.0, "band_limit": 8.7}),
+    ("energy", "band_limit", {"family": "flat", "radius": 5.0, "band_limit": True}),
+    ("verify", "seed", {"seed": 7.0}),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, config):
     cfg = tmp_path / "cfg.json"
