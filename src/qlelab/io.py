@@ -87,6 +87,8 @@ def load_json(path: str) -> dict:
 
 
 def _require_keys(obj: dict, allowed, what: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
     extra = set(obj) - set(allowed)
     if extra:
         raise ConfigError(f"unknown keys in {what}: {sorted(extra)}")
@@ -97,6 +99,25 @@ def check_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"must be an integer, got {value!r}")
     return value
+
+
+def _numbers(value, what: str, ndim: int) -> np.ndarray:
+    """`value` as an `ndim`-dimensional float array of finite numbers.
+
+    A string, bool or null entry, a ragged list, the wrong nesting depth or a
+    NaN/Infinity is a ConfigError naming `what`.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ConfigError(f"{what} is a ragged list") from None
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must hold only numbers")
+    if arr.ndim != ndim:
+        raise ConfigError(f"{what} must be a {ndim}-dimensional list, got {arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} holds a non-finite value")
+    return arr.astype(float)
 
 
 def _file_band_limit(payload: dict, what: str) -> int:
@@ -118,10 +139,10 @@ def surface_from_file(payload: dict, grid: SphereGrid | None = None):
             return grid, surface_from_spec(grid, payload["X"])
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from exc
-    coeffs = np.asarray(payload["X_coeffs"], dtype=float)
+    coeffs = _numbers(payload["X_coeffs"], "'X_coeffs'", 2)
     if coeffs.shape != (3, grid.n_coef):
         raise ConfigError(
-            f"X_coeffs must be 3 lists of {grid.n_coef} coefficients")
+            f"'X_coeffs' must be 3 lists of {grid.n_coef} coefficients")
     return grid, surface_geometry(grid, coeffs=coeffs.T)
 
 
@@ -153,7 +174,7 @@ def metric_from_file(payload: dict, grid: SphereGrid | None = None):
     for j, key in enumerate(_AMBIENT_KEYS):
         if key not in H:
             raise ConfigError(f"metric file is missing component {key!r}")
-        c = np.asarray(H[key], dtype=float)
+        c = _numbers(H[key], f"metric component {key!r}", 1)
         if c.size > grid.n_coef:
             raise ConfigError(f"component {key!r} exceeds the band limit")
         coeffs[: c.size, j] = c

@@ -278,7 +278,7 @@ class InducedMetric:
         for name in ("tt", "tp", "pp"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         det = self.tt * self.pp - self.tp ** 2
-        if np.any(det <= 0.0) or np.any(self.tt <= 0.0):
+        if not (np.all(det > 0.0) and np.all(self.tt > 0.0)):   # NaN fails too
             raise SingularMetricError("metric is not positive definite at some node")
         object.__setattr__(self, "det", _frozen(det))
         object.__setattr__(self, "mu", _frozen(np.sqrt(det) / self.grid.sin_theta))

@@ -11,9 +11,9 @@ import pytest
 import qlelab
 from qlelab.cli import run
 from qlelab.io import (load_json, metric_from_file, metric_payload, parse_radii, parse_vector,
-                       write_json)
+                       surface_payload, write_json)
 from qlelab.sphere import make_grid
-from qlelab.surfaces import ellipsoid, harmonic_perturbation
+from qlelab.surfaces import ellipsoid, harmonic_perturbation, round_sphere
 
 
 def test_parse_helpers():
@@ -102,7 +102,15 @@ def test_embed_nonaxisymmetric_metric_file(tmp_path):
                                               "phi_phi": [1.0]}}),
     ("'yz'", lambda p: dict(p, H={k: v for k, v in p["H"].items() if k != "yz"})),
     ("'zz'", lambda p: dict(p, H=dict(p["H"], zz=list(p["H"]["zz"]) + [0.0]))),
-], ids=["old-h-form", "missing-component", "over-long-component"])
+    ("'xx'", lambda p: dict(p, H=dict(p["H"], xx="abc"))),
+    ("'xy'", lambda p: dict(p, H=dict(p["H"], xy=[[1.0, 0.0]]))),
+    ("'xz'", lambda p: dict(p, H=dict(p["H"], xz=[1.0, [0.0, 2.0]]))),
+    ("'yy'", lambda p: dict(p, H=dict(p["H"], yy=[1.0, "2.0"]))),
+    ("'yz'", lambda p: dict(p, H=dict(p["H"], yz=[0.0, float("nan")]))),
+    ("'zz'", lambda p: dict(p, H=dict(p["H"], zz=[float("inf")]))),
+    ("metric components", lambda p: dict(p, H=5)),
+], ids=["old-h-form", "missing-component", "over-long-component", "string", "two-dimensional",
+        "ragged", "string-entry", "nan", "infinity", "not-an-object"])
 def test_bad_metric_file_exits_2(tmp_path, capsys, key, edit):
     metric_file = tmp_path / "metric.json"
     write_json(str(metric_file), metric_payload(ellipsoid(make_grid(8)).metric))
@@ -110,6 +118,23 @@ def test_bad_metric_file_exits_2(tmp_path, capsys, key, edit):
     assert run(["embed", "--metric", str(metric_file)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c[:2] + [["abc"] * len(c[2])],
+    lambda c: [[row] for row in c],
+    lambda c: [c[0], c[1], c[2][:-1] + [[0.0]]],
+    lambda c: [c[0], c[1], c[2][:-1] + [float("nan")]],
+    lambda c: c[:2],
+], ids=["string", "three-dimensional", "ragged", "nan", "two-rows"])
+def test_bad_surface_coefficients_exit_2(tmp_path, capsys, edit):
+    surface_file = tmp_path / "surface.json"
+    payload = surface_payload(round_sphere(make_grid(8), 1.0))
+    surface_file.write_text(json.dumps(dict(
+        payload, X_coeffs=edit([list(map(float, c)) for c in payload["X_coeffs"]]))))
+    assert run(["energy", "--surface", str(surface_file), "--a", "0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "'X_coeffs'" in err and "Traceback" not in err
 
 
 def test_embed_from_surface_spec(tmp_path):

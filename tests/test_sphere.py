@@ -141,6 +141,16 @@ def test_gradient_rejects_degenerate_metric(grid16):
         InducedMetric(g, tt, np.zeros(g.size), g.sin_theta ** 2)
 
 
+@pytest.mark.parametrize("component", ["tt", "tp", "pp"])
+def test_metric_with_a_nan_node_is_singular(grid16, component):
+    # NaN compares False both ways, so the positive-definite check fails closed.
+    h = round_metric(grid16)
+    comps = {name: getattr(h, name).copy() for name in ("tt", "tp", "pp")}
+    comps[component][7] = np.nan
+    with pytest.raises(SingularMetricError):
+        InducedMetric(grid16, **comps)
+
+
 def test_laplacian_eigenfunction(grid16):
     g = grid16
     z = np.cos(g.theta)
