@@ -10,22 +10,27 @@ s^2 = area/4pi) so the tolerance is meaningful for spheres of any size.
 The solve is continued in the band limit.  When the start does not already
 meet the tolerance, the same problem is first solved on the coarse grid
 L_c = max(8, L // 2) to a scaled mismatch of 1e-6; each of its steps costs
-about (L_c/L)^6 of a fine one.  The coarse target is the fine metric
-resampled through its smooth ambient form H_ij (`sphere.ambient_coeffs`,
-truncated, then `sphere.metric_from_ambient`).  The coarse coefficients,
-zero-padded (the flat index l^2 + l + m is the same at every L), start the
-Gauss-Newton loop on the fine grid, which then needs 0-1 steps instead of
-4-5.  The Brioschi convexity check, the tolerance and the convergence
-verdict belong to the fine grid only; the coarse stage only supplies a
-starting point, so a coarse floor above 1e-6 is not an error.
+about 1/15 of a fine one at L = 24 (J^T J grows as L^5, the solve as L^6).
+The coarse target is the fine metric resampled through its smooth ambient
+form H_ij (`sphere.ambient_coeffs`, truncated, then
+`sphere.metric_from_ambient`).  The coarse coefficients, zero-padded (the
+flat index l^2 + l + m is the same at every L), start the Gauss-Newton loop
+on the fine grid, which then needs 0-1 steps instead of 4-5.  The Brioschi
+convexity check, the tolerance and the convergence verdict belong to the
+fine grid only; the coarse stage only supplies a starting point, so a
+coarse floor above 1e-6 is not an error.
 
 Each step solves the ridged normal equations (J^T J + eps I) d = -J^T r
-without forming the (3n, 3 n_coef) Jacobian J: its tt, tp and pp row blocks
-are built one at a time and accumulated into J^T J and J^T r
-(`_normal_equations`), so at most one block, J^T J and one block product are
-alive.  The FLOPs are those of `J.T @ J`.  An `embed` of the (1, 1.3, 1.6)
-ellipsoid peaks at about 141 MiB RSS at L = 24 and 350 MiB at L = 32
-(255 and 634 MiB with the dense J).
+without forming any block of the (3n, 3 n_coef) Jacobian J
+(`_normal_equations`).  Every basis function is a colatitude factor times
+a longitude factor (`SphereGrid.fYt`, `.lon`), so J^T J is assembled by sum
+factorisation: longitude sums first, in one batched product, then one
+product over colatitude per azimuthal order m.  At L = 24 that takes 0.11 s
+against 0.41 s for J^T J as rank-k updates, and 0.36 s against 1.70 s at
+L = 32 (one BLAS thread).  An `embed` of the (1, 1.3, 1.6) ellipsoid peaks
+at about 135 MiB RSS at L = 24 and 323 MiB at L = 32.  At L = 24 one
+`solve_weyl` allocates at most 47 MiB (tracemalloc), mostly J^T J and the
+longitude sums.
 
 The embedding is unique only up to rigid motions.  The returned surface is
 gauge-fixed deterministically: proper orientation (outward normals), center
@@ -42,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError, InvalidArgumentError, NotConvexError
+from .harmonics import sh_degrees
 from .sphere import (_SYM, _UPPER, InducedMetric, ScalarField, SphereGrid, ambient_coeffs,
                      ambient_tensor, integrate, make_grid, metric_from_ambient)
 from .surfaces import EmbeddedSurface, surface_geometry
@@ -175,31 +181,51 @@ def _gauge_normalize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def _normal_equations(grid: SphereGrid, Xt: np.ndarray, Xp: np.ndarray,
                       res_vec: np.ndarray, row_w: np.ndarray):
-    """J^T J and J^T r of the weighted metric residual, one component at a time.
+    """J^T J and J^T r of the weighted metric residual, by sum factorisation.
 
-    Row block k (tt, tp, pp) of the Jacobian with respect to the 3*nc
-    coefficients, columns ordered (xyz, coefficient), is an (n, 3 nc) product
-    of the frame derivatives Xt, Xp with the basis derivatives Yt, Yp.  Only
-    one block is alive at a time; the (3n, 3 nc) J is never built.  numpy runs
-    `Jk.T @ Jk` as a symmetric rank-k update, as it would `J.T @ J`.
+    Columns are ordered (xyz c, coefficient j).  At a node, the Jacobian of
+    metric component k (tt, tp, pp) is Q[k,T,c] Yt_j + Q[k,P,c] Yp_j, with Q
+    the row weights times the frame derivatives in d(Xt.Xt) = 2 Xt dXt,
+    d(Xt.Xp) = Xp dXt + Xt dXp and d(Xp.Xp) = 2 Xp dXp.  The bases factor
+    as Yt_j = fYt_j(th) Lam_{m_j}(ph) and Yp_j = fYp_j(th) Lam_{-m_j}(ph),
+    Lam_mu = cos(mu ph) for mu >= 0 and sin(|mu| ph) otherwise.  With s, s'
+    in (T, P) = (+1, -1), f^T = fYt and f^P = fYp:
+
+        A[(c,j),(d,l)] = sum_th sum_{s,s'} f^s_j f^s'_l G[s, m_j, s', th, cd, m_l],
+        G[s, m, s', th, cd, m'] = sum_ph (sum_k Q[k,s,c] Q[k,s',d]) Lam_{s m} Lam_{s' m'}.
+
+    G (c <= d) is one batched product over longitude.  The rows of order m
+    are then one product over (s, th) of their colatitude factors with every
+    column's, weighted by G at m.  The c > d blocks follow by symmetry;
+    J^T r is two products with Yt and Yp.  No Jacobian block is built.
     """
-    nc = grid.n_coef
-    Yt, Yp = grid.Yt[:, None, :nc], grid.Yp[:, None, :nc]
-    Xt, Xp = Xt[:, :, None], Xp[:, :, None]
-    A = np.zeros((3 * nc, 3 * nc))
-    rhs = np.zeros(3 * nc)
-    # d(Xt.Xt) = 2 Xt dXt, d(Xt.Xp) = Xt dXp + Xp dXt, d(Xp.Xp) = 2 Xp dXp.
-    for w, r, (a, Ya, b, Yb) in zip(row_w[:, :, None, None], res_vec,
-                                    ((2.0 * Xt, Yt, None, None), (Xt, Yp, Xp, Yt),
-                                     (2.0 * Xp, Yp, None, None))):
-        Jk = (w * a) * Ya
-        if b is not None:
-            Jk += (w * b) * Yb
-        Jk = Jk.reshape(grid.size, 3 * nc)
-        A += Jk.T @ Jk
-        rhs += Jk.T @ r
-        del Jk              # free the block before the next one is built
-    return A, rhs
+    L, nc, n_theta = grid.band_limit, grid.n_coef, grid.n_theta
+    ms = sh_degrees(L)[1]
+    zero = np.zeros_like(Xt)
+    Q = np.stack([(2.0 * Xt, zero), (Xp, Xt), (zero, 2.0 * Xp)]) * row_w[:, None, :, None]
+    rq = np.einsum("kn,ksnc->scn", res_vec, Q)
+    rhs = (grid.Yt[:, :nc].T @ rq[0].T + grid.Yp[:, :nc].T @ rq[1].T).T.ravel()
+
+    cs, ds = np.triu_indices(3)
+    D = np.einsum("ksnc,kund->sucdn", Q, Q)[:, :, cs, ds].reshape(2, 2, 6, n_theta, -1)
+    lam = grid.lon[:, L * L: nc]                      # Lam_mu(ph), mu = -L..L
+    lam = np.stack([lam, lam[:, ::-1]])               # [s, ph, mu] = Lam_{s mu}
+    G = np.stack([(lam[s].T @ (D[s][..., None] * lam[:, None, None])).transpose(3, 0, 2, 1, 4)
+                  for s in range(2)])                 # [s, mu, s', th, cd, mu']
+    f = np.stack([grid.fYt[:, :nc], grid.fYp[:, :nc]])
+    A = np.zeros((3, nc, 3, nc))
+    for m in range(-L, L + 1):
+        rows = np.flatnonzero(ms == m)
+        R = np.take(G[:, m + L], ms + L, axis=-1)     # [s, s', th, cd, l]
+        R *= f[:, :, None]
+        R = (R[:, 0] + R[:, 1]).reshape(2 * n_theta, 6 * nc)
+        block = (f[:, :, rows].reshape(2 * n_theta, -1).T @ R).reshape(rows.size, 6, nc)
+        for p, (c, d) in enumerate(zip(cs, ds)):
+            A[c, rows, d] = block[:, p]
+    for c, d in zip(cs, ds):
+        if c < d:
+            A[d, :, c] = A[c, :, d].T
+    return A.reshape(3 * nc, 3 * nc), rhs
 
 
 def _gauss_newton(grid: SphereGrid, target: np.ndarray, coeffs: np.ndarray,
@@ -271,8 +297,8 @@ def solve_weyl(h: InducedMetric, initial_guess: EmbeddedSurface | None = None,
     `max_iterations` steps, counted over the coarse and the fine grid.
     `iterations` is the number of Gauss-Newton steps taken.
     """
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidArgumentError(f"tol must be a positive finite number, got {tol!r}")
     grid = h.grid
     k_min = float(np.min(metric_gauss_curvature(h)))
     log.debug("solve_weyl: Brioschi min K %.6e", k_min)

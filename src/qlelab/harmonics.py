@@ -23,11 +23,11 @@ colatitude derivative uses
 valid away from the poles (all grids in this package use Gauss-Legendre
 nodes, which exclude the poles).
 
-Every basis function is a colatitude factor times a longitude factor, so
-`real_sh_basis` broadcasts theta against phi: on a tensor grid (theta of
-shape (n_theta, 1), phi of shape (1, n_phi)) the recurrence runs once per
-distinct colatitude and the bases are three broadcast products.  Scattered
-points are two 1-d arrays of equal length.
+Every basis function is a colatitude factor times a longitude factor
+(`real_sh_factors`), so `real_sh_basis` broadcasts theta against phi: on a
+tensor grid (theta of shape (n_theta, 1), phi of shape (1, n_phi)) the
+recurrence runs once per distinct colatitude and the bases are three
+broadcast products.  Scattered points are two 1-d arrays of equal length.
 """
 
 from __future__ import annotations
@@ -84,6 +84,54 @@ def _legendre_tables(band_limit, x, sin_th):
     return p, dp
 
 
+def real_sh_factors(theta, phi, band_limit):
+    """Colatitude and longitude factors of the real harmonic basis.
+
+    Basis function j = (l, m) and its derivatives are products
+
+        Y_j = fY_j(th) lon_j(ph),  dY_j/dth = fYt_j(th) lon_j(ph),
+        dY_j/dph = fYp_j(th) lon_p_j(ph),
+
+    with lon_j = Lam_m and lon_p_j = Lam_{-m}, where Lam_mu(ph) is
+    cos(mu ph) for mu >= 0 and sin(|mu| ph) for mu < 0.
+
+    Args:
+        theta: colatitudes of any shape, strictly inside (0, pi); the
+            Legendre recurrence runs once per entry.
+        phi: longitudes of any shape.
+        band_limit: maximum degree L.
+
+    Returns:
+        (fY, fYt, fYp), each theta.shape + ((L+1)^2,), and (lon, lon_p),
+        each phi.shape + ((L+1)^2,).
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    x = np.cos(theta).ravel()
+    st = np.sin(theta).ravel()
+    if np.any(st <= 0.0):
+        raise ValueError("basis evaluation requires 0 < theta < pi")
+    L = band_limit
+    ls, ms = sh_degrees(L)
+    am = np.abs(ms)
+
+    # Colatitude factors.
+    p, dp = _legendre_tables(L, x, st)
+    sqrt2 = np.sqrt(2.0)
+    # C order here makes the broadcast products of the factors C-contiguous.
+    P, dP = (np.ascontiguousarray(t[am, ls].T).reshape(theta.shape + (-1,)) for t in (p, dp))
+    scale = np.where(ms == 0, 1.0, sqrt2)
+    fY, fYt = scale * P, scale * dP
+    fYp = np.where(ms == 0, 0.0, -ms * sqrt2 * P)
+
+    # Longitude factors: 1 for m = 0, else cos or sin.
+    mphi = np.arange(L + 1) * phi[..., None]
+    cosm, sinm = (np.take(f(mphi), am, axis=-1) for f in (np.cos, np.sin))
+    lon = np.where(ms < 0, sinm, cosm)
+    lon_p = np.where(ms > 0, sinm, cosm)
+    return fY, fYt, fYp, lon, lon_p
+
+
 def real_sh_basis(theta, phi, band_limit):
     """Evaluate the real harmonic basis and its first angular derivatives.
 
@@ -97,28 +145,5 @@ def real_sh_basis(theta, phi, band_limit):
     Returns:
         (Y, dY_dtheta, dY_dphi), each broadcast(theta, phi).shape + ((L+1)^2,).
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    x = np.cos(theta).ravel()
-    st = np.sin(theta).ravel()
-    if np.any(st <= 0.0):
-        raise ValueError("basis evaluation requires 0 < theta < pi")
-    L = band_limit
-    ls, ms = sh_degrees(L)
-    am = np.abs(ms)
-
-    # Colatitude factors, theta.shape + (ncoef,).
-    p, dp = _legendre_tables(L, x, st)
-    sqrt2 = np.sqrt(2.0)
-    # C order here makes the broadcast products below C-contiguous.
-    P, dP = (np.ascontiguousarray(t[am, ls].T).reshape(theta.shape + (-1,)) for t in (p, dp))
-    scale = np.where(ms == 0, 1.0, sqrt2)
-    fY, fYt = scale * P, scale * dP
-    fYp = np.where(ms == 0, 0.0, -ms * sqrt2 * P)
-
-    # Longitude factors, phi.shape + (ncoef,): 1 for m = 0, else cos or sin.
-    mphi = np.arange(L + 1) * phi[..., None]
-    cosm, sinm = (np.take(f(mphi), am, axis=-1) for f in (np.cos, np.sin))
-    lon = np.where(ms < 0, sinm, cosm)
-    lon_p = np.where(ms > 0, sinm, cosm)
+    fY, fYt, fYp, lon, lon_p = real_sh_factors(theta, phi, band_limit)
     return fY * lon, fYt * lon, fYp * lon_p

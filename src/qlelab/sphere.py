@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, SingularMetricError
-from .harmonics import real_sh_basis, sh_count, sh_degrees
+from .harmonics import real_sh_factors, sh_count, sh_degrees
 
 DEFAULT_BAND_LIMIT = 24
 
@@ -69,6 +69,14 @@ class SphereGrid:
     Yt: np.ndarray          # (n, n_coef_work) d/dtheta synthesis
     Yp: np.ndarray          # (n, n_coef_work) d/dphi synthesis
     WY: np.ndarray = field(repr=False)  # weights[:, None] * Y
+    # Factors of the bases (`harmonics.real_sh_factors`): Y = fY lon,
+    # Yt = fYt lon, Yp = fYp lon_p, node (i, k) taking row i of the
+    # colatitude and row k of the longitude factors.
+    fY: np.ndarray = field(repr=False)      # (n_theta, n_coef_work)
+    fYt: np.ndarray = field(repr=False)     # (n_theta, n_coef_work)
+    fYp: np.ndarray = field(repr=False)     # (n_theta, n_coef_work)
+    lon: np.ndarray = field(repr=False)     # (n_phi, n_coef_work)
+    lon_p: np.ndarray = field(repr=False)   # (n_phi, n_coef_work)
 
     @property
     def size(self) -> int:
@@ -197,8 +205,9 @@ def make_grid(band_limit: int = DEFAULT_BAND_LIMIT) -> SphereGrid:
     phi = np.tile(phi_1d, n_theta)
     weights = np.repeat(w_1d, n_phi) * (2.0 * np.pi / n_phi)
 
-    Y, Yt, Yp = (b.reshape(theta.size, -1)
-                 for b in real_sh_basis(theta_1d[:, None], phi_1d[None, :], work))
+    fY, fYt, fYp, lon, lon_p = real_sh_factors(theta_1d, phi_1d, work)
+    Y, Yt, Yp = ((f[:, None] * g).reshape(theta.size, -1)
+                 for f, g in ((fY, lon), (fYt, lon), (fYp, lon_p)))
     grid = SphereGrid(
         band_limit=L,
         work_degree=work,
@@ -211,6 +220,11 @@ def make_grid(band_limit: int = DEFAULT_BAND_LIMIT) -> SphereGrid:
         Yt=_frozen(Yt),
         Yp=_frozen(Yp),
         WY=_frozen(weights[:, None] * Y),
+        fY=_frozen(fY),
+        fYt=_frozen(fYt),
+        fYp=_frozen(fYp),
+        lon=_frozen(lon),
+        lon_p=_frozen(lon_p),
     )
     _GRID_CACHE[L] = grid
     return grid

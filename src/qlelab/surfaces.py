@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularMetricError
+from .errors import ConfigError, InvalidArgumentError, SingularMetricError
 from .sphere import InducedMetric, ScalarField, SphereGrid, TangentField, _frozen, integrate
 
 
@@ -127,7 +127,10 @@ def surface_geometry(grid: SphereGrid, X_values=None, coeffs=None) -> EmbeddedSu
 def round_sphere(grid: SphereGrid, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> EmbeddedSurface:
     if radius <= 0.0:
         raise InvalidArgumentError("radius must be positive")
-    X = float(radius) * grid.nhat() + np.asarray(center, dtype=float)[None, :]
+    center = np.asarray(center, dtype=float)
+    if center.shape != (3,):
+        raise InvalidArgumentError("center must be three numbers")
+    X = float(radius) * grid.nhat() + center[None, :]
     return surface_geometry(grid, X)
 
 
@@ -151,6 +154,8 @@ def harmonic_perturbation(grid: SphereGrid, base_radius: float = 1.0,
     if coeffs is not None:
         if isinstance(coeffs, dict):
             for (l, m), amp in coeffs.items():
+                if not abs(int(m)) <= int(l):
+                    raise InvalidArgumentError(f"mode (l={l}, m={m}) needs |m| <= l")
                 idx = sh_index(int(l), int(m))
                 if idx >= grid.n_coef:
                     raise InvalidArgumentError(f"mode (l={l}, m={m}) exceeds band limit")
@@ -167,7 +172,14 @@ def harmonic_perturbation(grid: SphereGrid, base_radius: float = 1.0,
 
 
 def surface_from_spec(grid: SphereGrid, spec: dict) -> EmbeddedSurface:
-    """Build a surface from the JSON `X` block of a surface input file."""
+    """Build a surface from the JSON `X` block of a surface input file.
+
+    Every number of the block goes through `io._numbers`: a string, bool or
+    null, a list of the wrong depth or a NaN/Infinity raises ConfigError
+    naming the key, as does a `coeffs` key other than "l,m" with integers.
+    """
+    from .io import _numbers
+
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidArgumentError("surface spec must be an object with a 'kind'")
     kind = spec["kind"]
@@ -181,11 +193,28 @@ def surface_from_spec(grid: SphereGrid, spec: dict) -> EmbeddedSurface:
     extra = set(spec) - known[kind]
     if extra:
         raise InvalidArgumentError(f"unknown keys in surface spec: {sorted(extra)}")
+
+    def number(key, value, ndim=0):
+        arr = _numbers(value, f"surface spec {key!r}", ndim)
+        return arr if ndim else float(arr)
+
     if kind == "round":
-        return round_sphere(grid, spec.get("radius", 1.0), spec.get("center", (0, 0, 0)))
+        return round_sphere(grid, number("radius", spec.get("radius", 1.0)),
+                            number("center", spec.get("center", (0.0, 0.0, 0.0)), 1))
     if kind == "ellipsoid":
-        return ellipsoid(grid, spec.get("axes", (1.0, 1.0, 1.1)))
+        return ellipsoid(grid, number("axes", spec.get("axes", (1.0, 1.0, 1.1)), 1))
     coeffs = spec.get("coeffs")
     if isinstance(coeffs, dict):
-        coeffs = {tuple(int(v) for v in k.split(",")): a for k, a in coeffs.items()}
-    return harmonic_perturbation(grid, spec.get("base_radius", 1.0), coeffs)
+        modes = {}
+        for key, amp in coeffs.items():
+            try:
+                l, m = (int(tok) for tok in key.split(","))
+            except ValueError:
+                raise ConfigError(f"surface spec 'coeffs' key {key!r} is not 'l,m' "
+                                  "with integers l, m") from None
+            modes[l, m] = number(f"coeffs[{key}]", amp)
+        coeffs = modes
+    elif coeffs is not None:
+        coeffs = number("coeffs", coeffs, 1)
+    return harmonic_perturbation(grid, number("base_radius", spec.get("base_radius", 1.0)),
+                                 coeffs)

@@ -146,6 +146,36 @@ def test_embed_from_surface_spec(tmp_path):
     assert load_json(str(out))["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("key, spec", [
+    ("'axes'", {"kind": "ellipsoid", "axes": "abc"}),
+    ("'radius'", {"kind": "round", "radius": "x"}),
+    ("'radius'", {"kind": "round", "radius": float("nan")}),
+    ("'center'", {"kind": "round", "center": [0.0, "y", 0.0]}),
+    ("'x,0'", {"kind": "harmonic_perturbation", "coeffs": {"x,0": 0.01}}),
+    ("'coeffs[2,0]'", {"kind": "harmonic_perturbation", "coeffs": {"2,0": None}}),
+    ("'coeffs'", {"kind": "harmonic_perturbation", "coeffs": [1.0, "z"]}),
+    ("'base_radius'", {"kind": "harmonic_perturbation", "base_radius": True}),
+], ids=["axes-string", "radius-string", "radius-nan", "center-string", "coeffs-key",
+        "coeffs-value", "coeffs-list", "base-radius-bool"])
+@pytest.mark.parametrize("command, flag, block", [("energy", "--surface", "X"),
+                                                  ("embed", "--metric", "surface")])
+def test_bad_surface_spec_number_exits_2(tmp_path, capsys, key, spec, command, flag, block):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"band_limit": 8, block: spec}))
+    assert run([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_embed_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    metric_file = tmp_path / "metric.json"
+    write_json(str(metric_file), metric_payload(ellipsoid(make_grid(8)).metric))
+    assert run(["embed", "--metric", str(metric_file), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert "tol" in err and "Traceback" not in err
+
+
 def test_infimum_subcommand(tmp_path):
     out = tmp_path / "inf.json"
     code = run(["infimum", "--family", "schwarzschild", "--mass", "1",

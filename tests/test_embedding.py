@@ -8,7 +8,7 @@ import pytest
 
 from qlelab import embedding, sphere
 from qlelab.embedding import embedding_residual, metric_gauss_curvature, solve_weyl
-from qlelab.errors import ConvergenceError, NotConvexError
+from qlelab.errors import ConvergenceError, InvalidArgumentError, NotConvexError
 from qlelab.sphere import (InducedMetric, ScalarField, ambient_coeffs, integrate, make_grid,
                            metric_from_ambient, round_metric)
 from qlelab.surfaces import ellipsoid, harmonic_perturbation, round_sphere
@@ -162,7 +162,14 @@ def test_round_metric_never_reaches_the_coarse_grid(grid24, monkeypatch):
     assert sol.converged and sol.iterations == 0
 
 
-@pytest.mark.parametrize("band_limit", [12, 24])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_tolerance_must_be_positive_and_finite(grid16, tol):
+    # NaN compares false with everything: a `tol <= 0` test would let it through.
+    with pytest.raises(InvalidArgumentError, match="tol"):
+        solve_weyl(ellipsoid(grid16, (1.0, 1.0, 1.1)).metric, tol=tol)
+
+
+@pytest.mark.parametrize("band_limit", [5, 8, 12, 16, 24])
 def test_normal_equations_match_the_dense_jacobian(band_limit):
     # Oracle: the full (3n, 3 nc) weighted Jacobian J of the metric residual,
     # rows (tt, tp, pp) x node, columns (xyz, coefficient).
@@ -187,7 +194,9 @@ def test_normal_equations_match_the_dense_jacobian(band_limit):
 
 def test_weyl_step_peak_memory(grid24):
     # The dense (3n, 3 nc) Jacobian alone is 60 MB at L = 24, and a solve that
-    # builds it peaks near 171 MiB; the per-component assembly peaks near 75.
+    # builds it peaks near 171 MiB; one (n, 3 nc) block at a time peaked near
+    # 75.  The sum-factorised assembly builds no block and peaks near 47:
+    # J^T J (27 MiB) and the longitude sums G (12 MiB).
     h = ellipsoid(grid24, (1.0, 1.3, 1.6)).metric
     tracemalloc.start()
     try:
@@ -196,4 +205,4 @@ def test_weyl_step_peak_memory(grid24):
     finally:
         tracemalloc.stop()
     assert sol.converged and sol.iterations >= 1
-    assert peak <= 100 * 2 ** 20
+    assert peak <= 60 * 2 ** 20

@@ -48,6 +48,18 @@ def test_grid_bases_match_evaluation_at_the_nodes(L):
         assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
 
 
+@pytest.mark.parametrize("L", [4, 8, 12, 24])
+def test_grid_factors_rebuild_the_bases(L):
+    # The Weyl normal equations work from the stored colatitude and longitude
+    # factors; their products must be the grid bases bit for bit.
+    g = make_grid(L)
+    for got, f, lon in ((g.Y, g.fY, g.lon), (g.Yt, g.fYt, g.lon), (g.Yp, g.fYp, g.lon_p)):
+        assert f.shape == (g.n_theta, g.n_coef_work) and lon.shape == (g.n_phi, g.n_coef_work)
+        assert _same_bits(got, (f[:, None] * lon).reshape(g.size, -1))
+    for a in (g.fY, g.fYt, g.fYp, g.lon, g.lon_p):
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
 def test_basis_broadcasts_theta_against_phi():
     L = 7
     th = np.array([0.3, 1.2, 2.9])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qlelab.errors import InvalidArgumentError
+from qlelab.errors import ConfigError, InvalidArgumentError
 from qlelab.sphere import make_grid
 from qlelab.surfaces import (ellipsoid, harmonic_perturbation, round_sphere,
                              surface_from_spec, surface_geometry)
@@ -81,3 +81,27 @@ def test_surface_from_spec_round_trip(grid16):
         surface_from_spec(grid16, {"kind": "torus"})
     with pytest.raises(InvalidArgumentError):
         surface_from_spec(grid16, {"kind": "round", "radius": 1.0, "junk": 2})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "ellipsoid", "axes": "abc"},
+    {"kind": "ellipsoid", "axes": [[1.0, 1.0, 1.1]]},
+    {"kind": "round", "radius": "x"},
+    {"kind": "round", "center": [0.0, 0.0, float("inf")]},
+    {"kind": "harmonic_perturbation", "base_radius": None},
+    {"kind": "harmonic_perturbation", "coeffs": {"x,0": 0.01}},
+    {"kind": "harmonic_perturbation", "coeffs": {"2,0,1": 0.01}},
+    {"kind": "harmonic_perturbation", "coeffs": {"2.5,0": 0.01}},
+    {"kind": "harmonic_perturbation", "coeffs": {"2,0": "0.01"}},
+])
+def test_surface_from_spec_rejects_bad_numbers(grid16, spec):
+    with pytest.raises(ConfigError):
+        surface_from_spec(grid16, spec)
+
+
+def test_spec_shapes_and_modes_are_checked(grid16):
+    with pytest.raises(InvalidArgumentError, match="center"):
+        round_sphere(grid16, 1.0, (0.0, 0.0))
+    # (l, m) = (1, 5) would alias the flat index of (2, 3).
+    with pytest.raises(InvalidArgumentError, match=r"\|m\| <= l"):
+        harmonic_perturbation(grid16, 1.0, {(1, 5): 0.01})
