@@ -1,141 +1,134 @@
 """Command-line front end: embed | energy | infimum | sweep | verify.
 
-Configuration comes from a flat JSON file (--config) with keys mirroring the
-subcommand flags; explicit flags override file keys and unknown keys are
-rejected.  Machine-readable output goes to --out (JSON or CSV, written
-atomically); a short human summary goes to stdout.  Exit codes: 0 success,
-1 verification failure, 2 configuration error, 3 numerical-domain error,
-4 no convergence.
+`_COMMANDS` lists the options each command reads; `_OPTIONS` gives each
+option its flag, its coercion and input check, and its default.  A value
+comes from the flag, else from the flat JSON file of --config (keys mirror
+the flags), else from the default.  An option the run would not read is a
+configuration error naming it: a flag or config key the command lacks, a
+data-family key, --radius or --band-limit next to `energy --surface`, and a
+key the family does not take (`initialdata.data_from_config`).
+
+Machine-readable output goes to --out (JSON or CSV, written atomically); a
+short human summary goes to stdout.  Exit codes: 0 success, 1 verification
+failure, 2 configuration error, 3 numerical-domain error, 4 no convergence.
 
 numpy thread pools are capped before numpy is first imported, so
-`--threads 1` gives bit-reproducible output.  Set QLELAB_LOG to error, info
-or debug to control logging.
+`--threads 1` gives bit-reproducible output.  Parsing therefore loads no
+numpy: the table names coercions and library defaults as "module.name",
+looked up when a run resolves its options.  Set QLELAB_LOG to error, info or
+debug to control logging.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
+from typing import NamedTuple
 
-_COMMON_KEYS = {"out", "seed", "band_limit"}
-_ALLOWED_KEYS = {
-    "embed": _COMMON_KEYS | {"metric", "tol"},
-    "energy": _COMMON_KEYS | {"family", "mass", "momentum", "radius", "a",
-                              "surface", "csv"},
-    "infimum": _COMMON_KEYS | {"family", "mass", "momentum", "radius", "a0"},
-    "sweep": _COMMON_KEYS | {"family", "mass", "momentum", "radii", "a_samples"},
-    "verify": _COMMON_KEYS,
+from .errors import (ConfigError, ConvergenceError, InvalidArgumentError, NotConvexError,
+                     NotSpacelikeError, NumericalDomainError, SingularMetricError,
+                     SingularPointError)
+
+
+class _Option(NamedTuple):
+    help: str | None                # help of the flag; None for a config-only key
+    check: str                      # "module.function" that coerces and checks a value
+    flag_type: type | None = None   # argparse type of the flag (None: the string)
+    default: object = None          # a value, or "module.NAME" of a library constant
+
+
+_AT_REST = (0.0, 0.0, 0.0)
+_OPTIONS = {
+    "metric": _Option("metric file (harmonic coefficients of H_ij)", "io.check_str"),
+    "surface": _Option("surface file (flat-space reference data)", "io.check_str"),
+    "family": _Option("initial-data family (initialdata.FAMILIES)", "io.check_str"),
+    "mass": _Option("mass parameter m of the family", "io.check_finite", float),
+    "momentum": _Option("ADM momentum P1,P2,P3 of the family", "io.parse_vector"),
+    "radius": _Option("coordinate radius of the sphere", "io.check_finite", float),
+    "radii": _Option("'25,50,100' or 'start:end:geometric'", "io.parse_radii"),
+    "band_limit": _Option("spectral band limit L", "io.check_int", int,
+                          "sphere.DEFAULT_BAND_LIMIT"),
+    "tol": _Option("embedding residual tolerance", "io.check_finite", float,
+                   "embedding.DEFAULT_TOL"),
+    "a": _Option("boost parameter a1,a2,a3", "io.parse_vector", default=_AT_REST),
+    "a0": _Option("numeric start point a1,a2,a3", "io.parse_vector", default=_AT_REST),
+    "a_samples": _Option(None, "io.parse_vectors", default="optimizer.DEFAULT_A_SAMPLES"),
+    "seed": _Option("random seed", "io.check_int", int, 0),
+    "out": _Option("output path (JSON or CSV)", "io.check_str"),
+    "csv": _Option("also write the report as a one-row CSV", "io.check_str"),
 }
+_DATA_KEYS = ("family", "mass", "momentum")
+
+
+def _lib(path):
+    """The qlelab attribute named "module.name", imported on first use."""
+    module, name = path.split(".")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat JSON config; flags override its keys")
-    common.add_argument("--out", help="output path (JSON or CSV)")
-    common.add_argument("--threads", type=int, help="BLAS thread cap (1 = bit-reproducible)")
-    common.add_argument("--seed", type=int, help="seed for randomized suites")
-    common.add_argument("--band-limit", type=int, dest="band_limit",
-                        help="spectral band limit L (default 24)")
-
     parser = argparse.ArgumentParser(
         prog="qlelab",
         description="Quasilocal energy estimates on spacelike 2-surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("embed", parents=[common],
-                       help="solve the isometric embedding of a metric file")
-    p.add_argument("--metric", help="metric file (harmonic coefficients of H_ij)")
-    p.add_argument("--tol", type=float, help="embedding residual tolerance")
-
-    for name in ("energy", "infimum"):
-        p = sub.add_parser(name, parents=[common],
-                           help=f"compute the {name} on a data family sphere")
-        p.add_argument("--family", choices=["schwarzschild", "composite", "flat"])
-        p.add_argument("--mass", type=float)
-        p.add_argument("--momentum", help="P1,P2,P3")
-        p.add_argument("--radius", type=float)
-        if name == "energy":
-            p.add_argument("--a", help="boost parameter a1,a2,a3")
-            p.add_argument("--surface", help="surface file (flat-space reference data)")
-            p.add_argument("--csv", help="also write the report as a one-row CSV")
-        else:
-            p.add_argument("--a0", help="numeric start point a1,a2,a3")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="large-sphere sweep of the energy infimum")
-    p.add_argument("--family", choices=["schwarzschild", "composite", "flat"])
-    p.add_argument("--mass", type=float)
-    p.add_argument("--momentum", help="P1,P2,P3")
-    p.add_argument("--radii", help="'25,50,100' or 'start:end:geometric'")
-
-    sub.add_parser("verify", parents=[common],
-                   help="run the invariant suite; nonzero exit on violation")
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat JSON config; flags override its keys")
+        p.add_argument("--threads", type=int, help="BLAS thread cap (1 = bit-reproducible)")
+        for key in keys:
+            opt = _OPTIONS[key]
+            if opt.help is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.flag_type,
+                               help=opt.help)
     return parser
 
 
-def _vector(value):
-    import numpy as np
+class _Options:
+    """The options of one run: each key's flag, else its config key, else its default.
 
-    from .io import parse_vector
-
-    if isinstance(value, str):
-        return parse_vector(value)
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"expected three numbers, got {value!r}")
-    return vec
-
-
-def _integer(value):
-    from .io import check_int
-
-    return check_int(value)
-
-
-def _radii(value):
-    from .io import parse_radii
-
-    return parse_radii(value) if isinstance(value, str) else [float(r) for r in value]
-
-
-_COERCE = {"seed": _integer, "band_limit": _integer, "mass": float, "radius": float, "tol": float,
-           "momentum": _vector, "a": _vector, "a0": _vector, "radii": _radii,
-           "a_samples": lambda samples: [_vector(a) for a in samples]}
-
-
-def _merge(args, config, key, default=None):
-    """The flag, else the config key, else `default`, coerced to the key's type.
-
-    A value of the wrong type raises ConfigError naming the key (exit 2).
+    Every given value is coerced and checked once, here; a bad value or a
+    config key the command does not read is a ConfigError naming the key.
     """
-    from .errors import ConfigError
 
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key, default)
-    if val is None or key not in _COERCE:
-        return val
-    try:
-        return _COERCE[key](val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    def __init__(self, args, config):
+        if not isinstance(config, dict):
+            raise ConfigError("config file must hold a JSON object")
+        keys = _COMMANDS[args.command][2]
+        unknown = set(config) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
+        self.given = {}
+        for key in keys:
+            value = getattr(args, key, None)
+            if value is None:
+                value = config.get(key)
+            if value is None:
+                continue
+            try:
+                self.given[key] = _lib(_OPTIONS[key].check)(value)
+            except (TypeError, ValueError, ConfigError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+    def __getitem__(self, key):
+        if key in self.given:
+            return self.given[key]
+        default = _OPTIONS[key].default
+        return _lib(default) if isinstance(default, str) else default
+
+    def require(self, key, message):
+        if key not in self.given:
+            raise ConfigError(message)
+        return self.given[key]
 
 
-def _data_from_options(args, config):
-    from .errors import ConfigError
+def _data_from_options(opts):
     from .initialdata import data_from_config
 
-    family = _merge(args, config, "family")
-    if family is None:
-        raise ConfigError("a data family is required (--family or config key)")
-    block = {"family": family}
-    if family != "flat":
-        block["mass"] = _merge(args, config, "mass", 1.0)
-        if family == "composite":
-            block["momentum"] = _merge(args, config, "momentum", (0.0, 0.0, 0.0))
-    return data_from_config(block)
+    opts.require("family", "a data family is required (--family or config key)")
+    return data_from_config({key: opts.given[key] for key in _DATA_KEYS if key in opts.given})
 
 
 def _embedded_sphere(data, radius, grid):
@@ -146,17 +139,12 @@ def _embedded_sphere(data, radius, grid):
     return solve_weyl(sd.metric).surface, sd
 
 
-def _cmd_embed(args, config):
+def _cmd_embed(opts):
     from .embedding import solve_weyl
-    from .errors import ConfigError
     from .io import load_json, metric_from_file, surface_payload, write_json
 
-    metric_path = _merge(args, config, "metric")
-    if metric_path is None:
-        raise ConfigError("embed requires --metric FILE")
-    grid, h = metric_from_file(load_json(metric_path))
-    tol = _merge(args, config, "tol", 1e-9)
-    sol = solve_weyl(h, tol=tol)
+    grid, h = metric_from_file(load_json(opts.require("metric", "embed requires --metric FILE")))
+    sol = solve_weyl(h, tol=opts["tol"])
     payload = surface_payload(sol.surface)
     payload.update({
         "residual": sol.residual,
@@ -164,7 +152,7 @@ def _cmd_embed(args, config):
         "iterations": sol.iterations,
         "converged": sol.converged,
     })
-    out = _merge(args, config, "out")
+    out = opts["out"]
     if out:
         write_json(out, payload)
     print(f"embed: converged={sol.converged} iterations={sol.iterations} "
@@ -173,35 +161,25 @@ def _cmd_embed(args, config):
     return 0
 
 
-def _surface_reference_data(surface):
-    from .energy import synthetic_surface_data
-    return synthetic_surface_data(surface, surface.k0)
-
-
-def _cmd_energy(args, config):
-    from .energy import BoostVector, wang_yau_energy
-    from .errors import ConfigError
+def _cmd_energy(opts):
+    from .energy import BoostVector, synthetic_surface_data, wang_yau_energy
     from .io import fmt, load_json, surface_from_file, write_csv, write_json
     from .sphere import make_grid
 
-    t0 = BoostVector(_merge(args, config, "a", (0.0, 0.0, 0.0)))
-
-    band_limit = _merge(args, config, "band_limit", 24)
-    surface_path = _merge(args, config, "surface")
-    family = _merge(args, config, "family")
-    if surface_path and family:
-        raise ConfigError("give either --surface or --family, not both")
-    if surface_path:
+    t0 = BoostVector(opts["a"])
+    if "surface" in opts.given:
+        unread = sorted(set(opts.given) & {*_DATA_KEYS, "radius", "band_limit"})
+        if unread:
+            raise ConfigError(f"{unread} not read with --surface: the file sets the surface and L")
+        surface_path = opts["surface"]
         grid, surface = surface_from_file(load_json(surface_path))
-        data = _surface_reference_data(surface)
+        data = synthetic_surface_data(surface, surface.k0)
         source = {"surface": surface_path, "band_limit": grid.band_limit}
     else:
-        grid = make_grid(band_limit)
-        radius = _merge(args, config, "radius")
-        if radius is None:
-            raise ConfigError("energy on a data family requires --radius")
-        ini = _data_from_options(args, config)
-        surface, data = _embedded_sphere(ini, radius, grid)
+        radius = opts.require("radius", "energy on a data family requires --radius")
+        ini = _data_from_options(opts)
+        band_limit = opts["band_limit"]
+        surface, data = _embedded_sphere(ini, radius, make_grid(band_limit))
         source = {"family": ini.family, "mass": ini.mass,
                   "momentum": ini.momentum, "radius": radius,
                   "band_limit": band_limit}
@@ -212,10 +190,10 @@ def _cmd_energy(args, config):
         "m_LY": rep.m_ly, "C": rep.C, "lower": rep.lower, "upper": rep.upper,
         "a": list(t0.a), "inputs": source,
     }
-    out = _merge(args, config, "out")
+    out = opts["out"]
     if out:
         write_json(out, payload)
-    csv_path = _merge(args, config, "csv")
+    csv_path = opts["csv"]
     if csv_path:
         write_csv(csv_path,
                   ["E", "E_tilde", "boost_term", "m_LY", "C", "lower", "upper"],
@@ -227,23 +205,15 @@ def _cmd_energy(args, config):
     return 0
 
 
-def _cmd_infimum(args, config):
-    from .errors import ConfigError
+def _cmd_infimum(opts):
     from .io import fmt, write_json
     from .optimizer import numeric_infimum
     from .sphere import make_grid
 
-    band_limit = _merge(args, config, "band_limit", 24)
-    radius = _merge(args, config, "radius")
-    if radius is None:
-        raise ConfigError("infimum requires --radius")
-    a0 = _merge(args, config, "a0", (0.0, 0.0, 0.0))
-    seed = _merge(args, config, "seed", 0)
-
-    grid = make_grid(band_limit)
-    ini = _data_from_options(args, config)
-    surface, data = _embedded_sphere(ini, radius, grid)
-    res = numeric_infimum(surface, data, a0=a0, seed=seed)
+    radius = opts.require("radius", "infimum requires --radius")
+    ini = _data_from_options(opts)
+    surface, data = _embedded_sphere(ini, radius, make_grid(opts["band_limit"]))
+    res = numeric_infimum(surface, data, a0=opts["a0"], seed=opts["seed"])
     payload = {
         "status": res.status,
         "a_star": list(res.a_star),
@@ -252,7 +222,7 @@ def _cmd_infimum(args, config):
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    out = _merge(args, config, "out")
+    out = opts["out"]
     if out:
         write_json(out, payload)
     closed = "none" if res.closed_form_value is None else fmt(res.closed_form_value)
@@ -262,22 +232,15 @@ def _cmd_infimum(args, config):
     return 0
 
 
-def _cmd_sweep(args, config):
-    from .errors import ConfigError
+def _cmd_sweep(opts):
     from .io import fmt, write_csv
-    from .optimizer import DEFAULT_A_SAMPLES, large_sphere_sweep
+    from .optimizer import large_sphere_sweep
     from .sphere import make_grid
 
-    radii = _merge(args, config, "radii")
-    if radii is None:
-        raise ConfigError("sweep requires --radii")
-    band_limit = _merge(args, config, "band_limit", 24)
-    seed = _merge(args, config, "seed", 0)
-    a_samples = _merge(args, config, "a_samples", DEFAULT_A_SAMPLES)
-
-    ini = _data_from_options(args, config)
-    grid = make_grid(band_limit)
-    rows = large_sphere_sweep(ini, radii, grid, a_samples=a_samples, seed=seed)
+    radii = opts.require("radii", "sweep requires --radii")
+    ini = _data_from_options(opts)
+    rows = large_sphere_sweep(ini, radii, make_grid(opts["band_limit"]),
+                              a_samples=opts["a_samples"], seed=opts["seed"])
 
     header = ["r", "m_LY", "V1", "V2", "V3", "causal", "C_r",
               "inf_numeric", "inf_closed", "eps_max"]
@@ -287,7 +250,7 @@ def _cmd_sweep(args, config):
                       row.C, row.inf_numeric,
                       "" if row.inf_closed is None else row.inf_closed,
                       row.eps_max])
-    out = _merge(args, config, "out")
+    out = opts["out"]
     if out:
         write_csv(out, header, table)
     for row in rows:
@@ -298,30 +261,36 @@ def _cmd_sweep(args, config):
     return 0
 
 
-def _cmd_verify(args, config):
+def _cmd_verify(opts):
     from .verify import run_verify
 
-    seed = _merge(args, config, "seed", 0)
-    band_limit = _merge(args, config, "band_limit", 24)
+    seed, band_limit = opts["seed"], opts["band_limit"]
     ok = run_verify(seed=seed, band_limit=band_limit)
     print(f"verify: {'all checks passed' if ok else 'VIOLATIONS FOUND'} "
           f"(seed={seed}, band_limit={band_limit})")
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "embed": _cmd_embed,
-    "energy": _cmd_energy,
-    "infimum": _cmd_infimum,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+# command: (handler, help, the option keys it reads)
+_COMMANDS = {
+    "embed": (_cmd_embed, "solve the isometric embedding of a metric file",
+              ("metric", "tol", "out")),
+    "energy": (_cmd_energy, "compute the energy on a data family sphere or a surface file",
+               ("family", "mass", "momentum", "radius", "band_limit", "surface", "a",
+                "out", "csv")),
+    "infimum": (_cmd_infimum, "compute the infimum on a data family sphere",
+                ("family", "mass", "momentum", "radius", "band_limit", "a0", "seed", "out")),
+    "sweep": (_cmd_sweep, "large-sphere sweep of the energy infimum",
+              ("family", "mass", "momentum", "radii", "band_limit", "a_samples", "seed",
+               "out")),
+    "verify": (_cmd_verify, "run the invariant suite; nonzero exit on violation",
+               ("seed", "band_limit")),
 }
 
 
 def run(argv) -> int:
     """Parse argv, dispatch, and map failures to stable exit codes."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     threads = args.threads
     if threads is not None:
@@ -335,27 +304,9 @@ def run(argv) -> int:
     logging.basicConfig(level={"error": logging.ERROR, "info": logging.INFO,
                                "debug": logging.DEBUG}.get(level, logging.ERROR))
 
-    from .errors import (ConfigError, ConvergenceError, InvalidArgumentError,
-                         NotConvexError, NotSpacelikeError, NumericalDomainError,
-                         SingularMetricError, SingularPointError)
-
-    config = {}
-    if args.config:
-        from .io import load_json
-        try:
-            config = load_json(args.config)
-            if not isinstance(config, dict):
-                raise ConfigError("config file must hold a JSON object")
-            extra = set(config) - _ALLOWED_KEYS[args.command]
-            if extra:
-                raise ConfigError(
-                    f"unknown config keys for {args.command!r}: {sorted(extra)}")
-        except ConfigError as exc:
-            print(f"qlelab {args.command}: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        return _HANDLERS[args.command](args, config)
+        config = _lib("io.load_json")(args.config) if args.config else {}
+        return _COMMANDS[args.command][0](_Options(args, config))
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"qlelab {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,9 @@ composite     : the same conformally flat metric plus the Bowen-York
                 and the correct decay rates.
 flat          : Minkowski data (m = 0, p = 0).
 
+`FAMILIES` maps each name to its constructor; the constructor's parameters
+are the keys a family takes and hold their defaults.
+
 Conventions
 -----------
 p is the second fundamental form of the slice, entering the ADM linear
@@ -36,14 +39,13 @@ is m (1 + m/2r)^3, converging at O(1/r).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidArgumentError, NotSpacelikeError, SingularPointError)
 from .sphere import InducedMetric, SphereGrid, TangentField, _frozen, make_grid, pullback
-
-FAMILIES = ("schwarzschild", "composite", "flat")
 
 
 def bowen_york_p(momentum):
@@ -54,10 +56,14 @@ def bowen_york_p(momentum):
     Trace free with respect to delta; the ADM momentum surface integral of
     this field equals `momentum` exactly at every radius.
     """
+    return _BowenYork(_momentum_vector(momentum))
+
+
+def _momentum_vector(momentum) -> np.ndarray:
     P = np.asarray(momentum, dtype=float)
-    if P.shape != (3,):
-        raise InvalidArgumentError("momentum must be a 3-vector")
-    return _BowenYork(P)
+    if P.shape != (3,) or not np.all(np.isfinite(P)):
+        raise InvalidArgumentError(f"momentum must be a finite 3-vector, got {momentum!r}")
+    return P
 
 
 class _BowenYork:
@@ -154,34 +160,31 @@ class InitialData:
         return fac[..., :, :, None, None] * eye
 
     def extrinsic(self, x):
-        """p_ij at points x."""
+        """p_ij at points x: Bowen-York for a nonzero momentum, else zero."""
         x = np.asarray(x, dtype=float)
-        if self.family == "composite" and np.any(self.momentum != 0.0):
+        if np.any(self.momentum != 0.0):
             return _BowenYork(self.momentum)(x)
         return np.zeros(x.shape[:-1] + (3, 3))
 
     def dextrinsic(self, x):
         x = np.asarray(x, dtype=float)
-        if self.family == "composite" and np.any(self.momentum != 0.0):
+        if np.any(self.momentum != 0.0):
             return _BowenYork(self.momentum).deriv(x)
         return np.zeros(x.shape[:-1] + (3, 3, 3))
 
 
-def schwarzschild_data(mass: float) -> InitialData:
-    """Time-symmetric isotropic Schwarzschild data; requires mass > 0."""
-    if not mass > 0.0:
-        raise InvalidArgumentError(f"schwarzschild mass must be positive, got {mass}")
+def schwarzschild_data(mass: float = 1.0) -> InitialData:
+    """Time-symmetric isotropic Schwarzschild data; requires a finite mass > 0."""
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise InvalidArgumentError(f"schwarzschild mass must be positive and finite, got {mass}")
     return InitialData("schwarzschild", float(mass), np.zeros(3))
 
 
-def composite_data(mass: float, momentum=(0.0, 0.0, 0.0)) -> InitialData:
+def composite_data(mass: float = 1.0, momentum=(0.0, 0.0, 0.0)) -> InitialData:
     """Schwarzschild metric plus Bowen-York curvature with momentum P."""
-    if mass < 0.0:
-        raise InvalidArgumentError(f"composite mass must be nonnegative, got {mass}")
-    P = np.asarray(momentum, dtype=float)
-    if P.shape != (3,):
-        raise InvalidArgumentError("momentum must be a 3-vector")
-    return InitialData("composite", float(mass), P)
+    if not (np.isfinite(mass) and mass >= 0.0):
+        raise InvalidArgumentError(f"composite mass must be nonnegative and finite, got {mass}")
+    return InitialData("composite", float(mass), _momentum_vector(momentum))
 
 
 def flat_data() -> InitialData:
@@ -189,21 +192,26 @@ def flat_data() -> InitialData:
     return InitialData("flat", 0.0, np.zeros(3))
 
 
+FAMILIES = {"schwarzschild": schwarzschild_data, "composite": composite_data, "flat": flat_data}
+
+
 def data_from_config(cfg: dict) -> InitialData:
-    """Build a family from the JSON config block {family, mass, momentum}."""
+    """Build a family from the JSON config block {"family": name, ...}.
+
+    The other keys go to the family's constructor, which holds the defaults;
+    a key it does not take is an InvalidArgumentError naming the key.
+    """
     if not isinstance(cfg, dict):
         raise InvalidArgumentError("data config must be an object")
-    extra = set(cfg) - {"family", "mass", "momentum"}
+    params = dict(cfg)
+    family = params.pop("family", None)
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise InvalidArgumentError(f"unknown family {family!r}, expected one of {tuple(FAMILIES)}")
+    make = FAMILIES[family]
+    extra = set(params) - set(inspect.signature(make).parameters)
     if extra:
-        raise InvalidArgumentError(f"unknown keys in data config: {sorted(extra)}")
-    family = cfg.get("family")
-    if family not in FAMILIES:
-        raise InvalidArgumentError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if family == "flat":
-        return flat_data()
-    if family == "schwarzschild":
-        return schwarzschild_data(cfg.get("mass", 1.0))
-    return composite_data(cfg.get("mass", 1.0), cfg.get("momentum", (0.0, 0.0, 0.0)))
+        raise InvalidArgumentError(f"family {family!r} does not take {sorted(extra)}")
+    return make(**params)
 
 
 @dataclass(frozen=True)
@@ -228,8 +236,8 @@ class SurfaceData:
 
 def _sphere_fields(data: InitialData, r: float, grid: SphereGrid):
     """Nodal (g, p, nu, k, tr_S p) on the coordinate sphere |y| = r."""
-    if r <= 0.0:
-        raise InvalidArgumentError("radius must be positive")
+    if not (np.isfinite(r) and r > 0.0):
+        raise InvalidArgumentError(f"radius must be positive and finite, got {r}")
     nhat = grid.nhat()
     x = r * nhat
     g = data.metric(x)

@@ -9,9 +9,11 @@ Surface file:   {"band_limit": L, "X": {"kind": ...}} or
 Metric file:    {"band_limit": L, "H": {"xx": [...], "xy": [...], "xz": [...],
                  "yy": [...], "yz": [...], "zz": [...]}} or
                 {"band_limit": L, "surface": {...X spec...}}
-Data config:    {"family": "schwarzschild"|"composite"|"flat",
-                 "mass": m, "momentum": [p1, p2, p3]}
+Data config:    {"family": name, ...}, with the keys that the family's
+                constructor in `initialdata.FAMILIES` takes ("mass",
+                "momentum"); a missing key takes the constructor's default.
 
+A file without "band_limit" is read at `sphere.DEFAULT_BAND_LIMIT`.
 Coefficient lists use the real spherical-harmonic ordering with l ascending
 and m from -l to l (flat index l^2 + l + m), up to degree L.  A metric is
 stored as its smooth ambient tensor H_ij (`sphere.ambient_tensor`).
@@ -26,7 +28,8 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .sphere import InducedMetric, SphereGrid, ambient_coeffs, make_grid, metric_from_ambient
+from .sphere import (DEFAULT_BAND_LIMIT, InducedMetric, SphereGrid, ambient_coeffs, make_grid,
+                     metric_from_ambient)
 from .surfaces import EmbeddedSurface, surface_from_spec, surface_geometry
 
 
@@ -101,6 +104,21 @@ def check_int(value) -> int:
     return value
 
 
+def check_str(value) -> str:
+    """`value` itself if it is a string; anything else is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def check_finite(value) -> float:
+    """`value` as a float; a NaN or an infinity is a ValueError."""
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
 def _numbers(value, what: str, ndim: int) -> np.ndarray:
     """`value` as an `ndim`-dimensional float array of finite numbers.
 
@@ -122,7 +140,7 @@ def _numbers(value, what: str, ndim: int) -> np.ndarray:
 
 def _file_band_limit(payload: dict, what: str) -> int:
     try:
-        return check_int(payload.get("band_limit", 24))
+        return check_int(payload.get("band_limit", DEFAULT_BAND_LIMIT))
     except TypeError as exc:
         raise ConfigError(f"{what}: 'band_limit' {exc}") from None
 
@@ -187,36 +205,42 @@ def metric_payload(h: InducedMetric) -> dict:
             "H": {key: coeffs[:, j] for j, key in enumerate(_AMBIENT_KEYS)}}
 
 
-def parse_radii(text: str):
-    """Parse '25,50,100' or 'start:end:geometric' into an ascending list."""
-    if ":" in text:
-        parts = text.split(":")
+def _finite_floats(tokens, what: str) -> list:
+    try:
+        return [check_finite(tok) for tok in tokens]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def parse_radii(value) -> list:
+    """Ascending finite radii from '25,50,100', 'start:end:geometric' or a list."""
+    if isinstance(value, str) and ":" in value:
+        parts = value.split(":")
         if len(parts) != 3 or parts[2] != "geometric":
             raise ConfigError("radius range must be 'start:end:geometric'")
-        try:
-            start, end = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad radius range {text!r}") from exc
+        start, end = _finite_floats(parts[:2], f"radius range {value!r}")
         if not (0 < start <= end):
             raise ConfigError("radius range needs 0 < start <= end")
         radii = [start]
         while radii[-1] * 2.0 <= end * (1 + 1e-12):
             radii.append(radii[-1] * 2.0)
         return radii
-    try:
-        radii = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad radius list {text!r}") from exc
-    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("radii must be a nonempty ascending list")
+    tokens = [tok for tok in value.split(",") if tok.strip()] if isinstance(value, str) else value
+    radii = _finite_floats(tokens, f"radius list {value!r}")
+    if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("radii must be a nonempty ascending list of positive numbers")
     return radii
 
 
-def parse_vector(text: str) -> np.ndarray:
-    try:
-        vec = np.asarray([float(tok) for tok in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}") from exc
+def parse_vector(value) -> np.ndarray:
+    """A finite 3-vector from 'v1,v2,v3' or from a list of three numbers."""
+    tokens = value.split(",") if isinstance(value, str) else value
+    vec = np.asarray(_finite_floats(tokens, f"vector {value!r}"))
     if vec.shape != (3,):
-        raise ConfigError(f"expected three comma-separated numbers, got {text!r}")
+        raise ConfigError(f"expected three numbers, got {value!r}")
     return vec
+
+
+def parse_vectors(value) -> list:
+    """A list of finite 3-vectors, each as `parse_vector` reads it."""
+    return [parse_vector(v) for v in value]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embedding import solve_weyl
+from .errors import InvalidArgumentError
 from .energy import (BoostVector, PhiInput, bound_constant_C, dphi_dt,
                      e_tilde_tau, energy_bounds, liu_yau_mass, minkowski_dot,
                      momentum_four_vector, phi, synthetic_surface_data,
@@ -19,9 +20,11 @@ from .initialdata import (adm_energy, adm_momentum, composite_data,
                           coordinate_sphere, decay_constants, flat_data,
                           schwarzschild_data)
 from .optimizer import large_sphere_sweep, numeric_infimum
-from .sphere import (ScalarField, TangentField, gradient, integrate, laplacian,
-                     make_grid)
+from .sphere import (DEFAULT_BAND_LIMIT, ScalarField, TangentField, gradient, integrate,
+                     laplacian, make_grid)
 from .surfaces import ellipsoid, harmonic_perturbation
+
+MIN_BAND_LIMIT = 16     # the check tolerances assume L >= 16
 
 
 # -- randomized-input generators (shared with tests) -------------------------
@@ -338,8 +341,11 @@ CHECKS = [
 ]
 
 
-def run_verify(seed: int = 0, band_limit: int = 24, emit=print):
-    """Run every check; returns True iff all pass."""
+def run_verify(seed: int = 0, band_limit: int = DEFAULT_BAND_LIMIT, emit=print):
+    """Run every check; True iff all pass.  L < MIN_BAND_LIMIT is an InvalidArgumentError."""
+    if band_limit < MIN_BAND_LIMIT:
+        raise InvalidArgumentError(
+            f"'band_limit' must be at least {MIN_BAND_LIMIT} for verify, got {band_limit}")
     rng = np.random.default_rng(seed)
     all_ok = True
     for name, fn in CHECKS:

@@ -260,6 +260,9 @@ def test_infimum_config_a0_shape(tmp_path):
     ("energy", "band_limit", {"family": "flat", "radius": 5.0, "band_limit": 8.7}),
     ("energy", "band_limit", {"family": "flat", "radius": 5.0, "band_limit": True}),
     ("verify", "seed", {"seed": 7.0}),
+    ("embed", "metric", {"metric": 5}),
+    ("energy", "out", {"family": "flat", "radius": 5.0, "band_limit": 8, "out": 5}),
+    ("energy", "csv", {"family": "flat", "radius": 5.0, "band_limit": 8, "csv": ["a"]}),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, config):
     cfg = tmp_path / "cfg.json"
@@ -280,6 +283,103 @@ def test_file_band_limit_must_be_an_integer(tmp_path, capsys, command, flag, pay
     assert run([command, flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert "'band_limit'" in err and "Traceback" not in err
+
+
+def _exit_code(argv):
+    """run(argv), or the code of the SystemExit that argparse raises for an unknown flag."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """Paths of an L = 8 metric file and an L = 8 surface file."""
+    files = {"metric": tmp_path / "metric.json", "surface": tmp_path / "surface.json"}
+    files["metric"].write_text(json.dumps(
+        {"band_limit": 8, "surface": {"kind": "round", "radius": 1.0}}))
+    files["surface"].write_text(json.dumps(
+        {"band_limit": 8, "X": {"kind": "round", "radius": 1.0}}))
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("key, argv, config", [
+    ("'mass'", ["energy", "--family", "flat", "--mass", "2", "--radius", "5"], None),
+    ("'momentum'", ["energy", "--family", "schwarzschild", "--momentum", "0.5,0,0",
+                    "--radius", "10"], None),
+    ("'mass'", ["energy"], {"family": "flat", "mass": 2, "radius": 5}),
+    ("'momentum'", ["sweep"], {"family": "schwarzschild", "momentum": [0.5, 0, 0],
+                               "radii": [25]}),
+    ("--band-limit", ["embed", "--metric", "{metric}", "--band-limit", "16"], None),
+    ("'band_limit'", ["embed", "--metric", "{metric}"], {"band_limit": 16}),
+    ("'band_limit'", ["energy", "--surface", "{surface}", "--band-limit", "16"], None),
+    ("'radius'", ["energy", "--surface", "{surface}", "--radius", "10"], None),
+    ("'mass'", ["energy", "--surface", "{surface}", "--mass", "1"], None),
+    ("'family'", ["energy", "--surface", "{surface}", "--family", "flat"], None),
+    ("--seed", ["embed", "--metric", "{metric}", "--seed", "3"], None),
+    ("--seed", ["energy", "--surface", "{surface}", "--seed", "3"], None),
+    ("'seed'", ["energy", "--surface", "{surface}"], {"seed": 3}),
+    ("--out", ["verify", "--out", "verify.json"], None),
+], ids=["flat-mass", "schwarzschild-momentum", "flat-mass-config",
+        "schwarzschild-momentum-config", "embed-band-limit", "embed-band-limit-config",
+        "surface-band-limit", "surface-radius", "surface-mass", "surface-family", "embed-seed",
+        "energy-seed", "energy-seed-config", "verify-out"])
+def test_unread_option_exits_2(tmp_path, capsys, input_files, key, argv, config):
+    # Each of these inputs used to be accepted and ignored (exit 0).
+    argv = [arg.format(**input_files) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("mass", ["energy", "--family", "composite", "--mass", "nan", "--radius", "10"]),
+    ("mass", ["energy", "--family", "composite", "--mass", "inf", "--radius", "10"]),
+    ("mass", ["infimum", "--family", "schwarzschild", "--mass", "1e400", "--radius", "10"]),
+    ("radius", ["energy", "--family", "flat", "--radius", "nan"]),
+    ("radius", ["infimum", "--family", "flat", "--radius", "inf"]),
+    ("momentum", ["energy", "--family", "composite", "--momentum", "nan,0,0",
+                  "--radius", "10"]),
+    ("radii", ["sweep", "--family", "flat", "--radii", "25,nan"]),
+    ("radii", ["sweep", "--family", "flat", "--radii", "10:inf:geometric"]),
+    ("radii", ["sweep", "--family", "flat", "--radii=0,10"]),
+    ("band_limit", ["verify", "--band-limit", "8"]),
+    ("band_limit", ["verify", "--band-limit", "12"]),
+], ids=["mass-nan", "mass-inf", "mass-overflow", "radius-nan", "radius-inf", "momentum-nan",
+        "radii-nan", "radii-inf-range", "radii-zero", "verify-L8", "verify-L12"])
+def test_non_finite_or_unsupported_number_exits_2(capsys, key, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+
+
+def test_parsing_loads_no_numpy():
+    # `--threads` caps the BLAS pools before numpy loads, so building the
+    # parser and parsing every subcommand must not import numpy.
+    src = os.path.dirname(os.path.dirname(qlelab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """
+import sys
+from qlelab.cli import build_parser
+parser = build_parser()
+for argv in (["embed", "--metric", "m.json", "--tol", "1e-9"],
+             ["energy", "--family", "composite", "--mass", "1", "--momentum", "0.3,0,0",
+              "--radius", "10", "--a", "0.3,0,0", "--band-limit", "12"],
+             ["infimum", "--family", "flat", "--radius", "5", "--a0", "0,0,0", "--seed", "1"],
+             ["sweep", "--family", "flat", "--radii", "25:200:geometric", "--threads", "1"],
+             ["verify", "--seed", "7"]):
+    parser.parse_args(argv)
+sys.exit("numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_subcommand_exit_zero():

@@ -7,7 +7,7 @@ from qlelab.errors import InvalidArgumentError, NotSpacelikeError, SingularPoint
 from qlelab.initialdata import (adm_energy, adm_momentum, bowen_york_p, composite_data,
                                 coordinate_sphere, data_from_config, decay_constants,
                                 flat_data, schwarzschild_data)
-from qlelab.sphere import ScalarField, integrate
+from qlelab.sphere import ScalarField, integrate, make_grid
 
 
 def schwarzschild_k(m, r):
@@ -173,3 +173,26 @@ def test_family_config_parsing():
         data_from_config({"family": "kerr"})
     with pytest.raises(InvalidArgumentError):
         data_from_config({"family": "flat", "spin": 1})
+    # A key the family's constructor does not take is rejected, not ignored.
+    with pytest.raises(InvalidArgumentError, match="'mass'"):
+        data_from_config({"family": "flat", "mass": 2})
+    with pytest.raises(InvalidArgumentError, match="'momentum'"):
+        data_from_config({"family": "schwarzschild", "momentum": [0.5, 0, 0]})
+    # Missing keys take the constructor's defaults.
+    d = data_from_config({"family": "composite"})
+    assert d.mass == 1.0 and np.all(d.momentum == 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: schwarzschild_data(float("nan")),
+    lambda: schwarzschild_data(float("inf")),
+    lambda: composite_data(float("nan")),
+    lambda: composite_data(float("inf"), (0.3, 0.0, 0.0)),
+    lambda: composite_data(1.0, (float("nan"), 0.0, 0.0)),
+    lambda: coordinate_sphere(flat_data(), float("nan"), make_grid(8)),
+    lambda: coordinate_sphere(flat_data(), float("inf"), make_grid(8)),
+], ids=["schwarzschild-nan", "schwarzschild-inf", "composite-nan", "composite-inf",
+        "momentum-nan", "radius-nan", "radius-inf"])
+def test_non_finite_family_inputs_are_rejected(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
