@@ -14,6 +14,11 @@ flat          : Minkowski data (m = 0, p = 0).
 `FAMILIES` maps each name to its constructor; the constructor's parameters
 are the keys a family takes and hold their defaults.
 
+A family supplies only `metric(x)` and `extrinsic(x)`; `dmetric` and
+`dextrinsic` are their complex-step derivatives (`derivative`).  So both
+fields take complex points and stay analytic in them: r = sqrt(x.x), no
+abs, no np.linalg.norm, no float cast, and singular-point checks on x.real.
+
 Conventions
 -----------
 p is the second fundamental form of the slice, entering the ADM linear
@@ -48,6 +53,28 @@ from .errors import (InvalidArgumentError, NotSpacelikeError, SingularPointError
 from .sphere import InducedMetric, SphereGrid, TangentField, _frozen, make_grid, pullback
 
 
+def derivative(f, x):
+    """d_k f at real points x by complex step, index order (..., k, i, j).
+
+    d_k f(x) = Im f(x + i h e_k) / h with h = 1e-30 takes no difference of
+    nearby values, so it is exact to round-off (Squire & Trapp, SIAM Rev. 40,
+    110 (1998)).  The three steps go through one call of f.  f must carry
+    complex input through: a real result would give a zero derivative, so it
+    is a TypeError.
+    """
+    h = 1e-30
+    x = np.asarray(x, dtype=float)
+    fx = f(x[..., None, :] + 1j * h * np.eye(3))
+    if not np.iscomplexobj(fx):
+        raise TypeError(f"{f!r} returned a real array for complex input")
+    return fx.imag / h
+
+
+def _radius(x):
+    """r = sqrt(x.x), analytic in x (np.linalg.norm and abs are not)."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
 def bowen_york_p(momentum):
     """Bowen-York extrinsic curvature evaluator for a given ADM momentum.
 
@@ -56,7 +83,8 @@ def bowen_york_p(momentum):
     Trace free with respect to delta; the ADM momentum surface integral of
     this field equals `momentum` exactly at every radius.
     """
-    return _BowenYork(_momentum_vector(momentum))
+    P = _momentum_vector(momentum)
+    return lambda x: _bowen_york(P, x)
 
 
 def _momentum_vector(momentum) -> np.ndarray:
@@ -66,51 +94,16 @@ def _momentum_vector(momentum) -> np.ndarray:
     return P
 
 
-class _BowenYork:
-    def __init__(self, P):
-        self.momentum = P
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r == 0.0):
-            raise SingularPointError("Bowen-York field is singular at r = 0")
-        n = x / r[..., None]
-        Pn = np.einsum("i,...i->...", self.momentum, n)
-        eye = np.eye(3)
-        nn = n[..., :, None] * n[..., None, :]
-        sym = (self.momentum[:, None] * n[..., None, :]
-               + self.momentum[None, :] * n[..., :, None])
-        return 1.5 / r[..., None, None] ** 2 * (sym - (eye - nn) * Pn[..., None, None])
-
-    def deriv(self, x):
-        """d_k p_ij, index order (..., k, i, j)."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r == 0.0):
-            raise SingularPointError("Bowen-York field is singular at r = 0")
-        P = self.momentum
-        Px = np.einsum("i,...i->...", P, x)
-        eye = np.eye(3)
-        r3 = r ** 3
-        r5 = r ** 5
-        r7 = r ** 7
-        # p_ij = 1.5 [ (P_i x_j + P_j x_i - delta_ij <P,x>)/r^3
-        #              + x_i x_j <P,x>/r^5 ]
-        s = np.zeros(x.shape[:-1] + (3, 3, 3))
-        term_a = (P[:, None] * x[..., None, :] + P[None, :] * x[..., :, None]
-                  - eye * Px[..., None, None])
-        for k in range(3):
-            da = (P[:, None] * eye[k][None, :] + P[None, :] * eye[k][:, None]
-                  - eye * P[k])
-            db = (eye[k][:, None] * x[..., None, :] + x[..., :, None] * eye[k][None, :]) \
-                * Px[..., None, None] + x[..., :, None] * x[..., None, :] * P[k]
-            s[..., k, :, :] = (da / r3[..., None, None]
-                               - 3.0 * x[..., k, None, None] * term_a / r5[..., None, None]
-                               + db / r5[..., None, None]
-                               - 5.0 * x[..., k, None, None] * x[..., :, None]
-                               * x[..., None, :] * Px[..., None, None] / r7[..., None, None])
-        return 1.5 * s
+def _bowen_york(P, x):
+    x = np.asarray(x)
+    if np.any(np.all(x.real == 0.0, axis=-1)):
+        raise SingularPointError("Bowen-York field is singular at r = 0")
+    r = _radius(x)
+    n = x / r[..., None]
+    Pn = np.einsum("i,...i->...", P, n)
+    nn = n[..., :, None] * n[..., None, :]
+    sym = P[:, None] * n[..., None, :] + P[None, :] * n[..., :, None]
+    return 1.5 / r[..., None, None] ** 2 * (sym - (np.eye(3) - nn) * Pn[..., None, None])
 
 
 @dataclass(frozen=True)
@@ -124,53 +117,25 @@ class InitialData:
     def __post_init__(self):
         object.__setattr__(self, "momentum", _frozen(self.momentum))
 
-    # -- conformal factor ----------------------------------------------------
-
-    def _psi(self, r):
-        return 1.0 + 0.5 * self.mass / r
-
     def metric(self, x):
-        """g_ij at points x, shape (..., 3, 3)."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        psi4 = self._psi(r) ** 4
+        """g_ij = (1 + m/2r)^4 delta_ij at points x, shape (..., 3, 3)."""
+        psi4 = (1.0 + 0.5 * self.mass / _radius(np.asarray(x))) ** 4
         return psi4[..., None, None] * np.eye(3)
 
     def dmetric(self, x):
         """d_k g_ij, index order (..., k, i, j)."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        psi = self._psi(r)
-        dpsi = -0.5 * self.mass * x / r[..., None] ** 3      # (..., k)
-        fac = 4.0 * psi[..., None] ** 3 * dpsi
-        return fac[..., :, None, None] * np.eye(3)
-
-    def d2metric(self, x):
-        """d_l d_k g_ij, index order (..., l, k, i, j)."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        psi = self._psi(r)
-        dpsi = -0.5 * self.mass * x / r[..., None] ** 3
-        eye = np.eye(3)
-        d2psi = -0.5 * self.mass * (eye / r[..., None, None] ** 3
-                                    - 3.0 * x[..., :, None] * x[..., None, :]
-                                    / r[..., None, None] ** 5)
-        fac = (12.0 * psi[..., None, None] ** 2 * dpsi[..., :, None] * dpsi[..., None, :]
-               + 4.0 * psi[..., None, None] ** 3 * d2psi)
-        return fac[..., :, :, None, None] * eye
+        return derivative(self.metric, x)
 
     def extrinsic(self, x):
         """p_ij at points x: Bowen-York for a nonzero momentum, else zero."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         if np.any(self.momentum != 0.0):
-            return _BowenYork(self.momentum)(x)
-        return np.zeros(x.shape[:-1] + (3, 3))
+            return _bowen_york(self.momentum, x)
+        return np.zeros(x.shape[:-1] + (3, 3), dtype=np.result_type(x, 1.0))
 
     def dextrinsic(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(self.momentum != 0.0):
-            return _BowenYork(self.momentum).deriv(x)
-        return np.zeros(x.shape[:-1] + (3, 3, 3))
+        """d_k p_ij, index order (..., k, i, j)."""
+        return derivative(self.extrinsic, x)
 
 
 def schwarzschild_data(mass: float = 1.0) -> InitialData:
@@ -332,22 +297,21 @@ def decay_constants(data: InitialData, radii=(10.0, 100.0, 1000.0),
     """Sampled decay norms of (1.8)-(1.9)-type falloff.
 
     Returns the maxima over the sampled spheres of r|a|, r^2|da|, r^3|dda|,
-    r^2|p|, r^3|dp| with a = g - delta.  All finite for the built-in families.
+    r^2|p|, r^3|dp| with a = g - delta.  dda is the central difference of
+    `dmetric` with step 1e-4 r, good to a few 1e-8 relative.  On
+    asymptotically flat data each norm tends to a constant as r grows.
     """
     if grid is None:
         grid = make_grid(8)
     out = {"r_a": 0.0, "r2_da": 0.0, "r3_dda": 0.0, "r2_p": 0.0, "r3_dp": 0.0}
-    eye = np.eye(3)
     for r in radii:
         x = r * grid.nhat()
-        a = data.metric(x) - eye
-        da = data.dmetric(x)
-        dda = data.d2metric(x)
-        p = data.extrinsic(x)
-        dp = data.dextrinsic(x)
-        out["r_a"] = max(out["r_a"], r * np.abs(a).max())
-        out["r2_da"] = max(out["r2_da"], r ** 2 * np.abs(da).max())
+        step = 1e-4 * r
+        dda = [(data.dmetric(x + step * e) - data.dmetric(x - step * e)) / (2.0 * step)
+               for e in np.eye(3)]
+        out["r_a"] = max(out["r_a"], r * np.abs(data.metric(x) - np.eye(3)).max())
+        out["r2_da"] = max(out["r2_da"], r ** 2 * np.abs(data.dmetric(x)).max())
         out["r3_dda"] = max(out["r3_dda"], r ** 3 * np.abs(dda).max())
-        out["r2_p"] = max(out["r2_p"], r ** 2 * np.abs(p).max())
-        out["r3_dp"] = max(out["r3_dp"], r ** 3 * np.abs(dp).max())
+        out["r2_p"] = max(out["r2_p"], r ** 2 * np.abs(data.extrinsic(x)).max())
+        out["r3_dp"] = max(out["r3_dp"], r ** 3 * np.abs(data.dextrinsic(x)).max())
     return out

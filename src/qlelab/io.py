@@ -112,8 +112,13 @@ def check_str(value) -> str:
 
 
 def check_finite(value) -> float:
-    """`value` as a float; a NaN or an infinity is a ValueError."""
-    number = float(value)
+    """`value` as a float; a bool or a string is a TypeError, a NaN or an infinity a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:       # an int beyond the float range
+        number = np.inf
     if not np.isfinite(number):
         raise ValueError(f"must be finite, got {value!r}")
     return number
@@ -205,9 +210,14 @@ def metric_payload(h: InducedMetric) -> dict:
             "H": {key: coeffs[:, j] for j, key in enumerate(_AMBIENT_KEYS)}}
 
 
-def _finite_floats(tokens, what: str) -> list:
+def _finite_floats(tokens, what: str, text: bool) -> list:
+    """Finite floats from the text tokens of a flag (`text`) or the entries of a list.
+
+    A list entry must itself be a number: a string or a bool there is a
+    ConfigError naming `what`, as is a NaN or an infinity anywhere.
+    """
     try:
-        return [check_finite(tok) for tok in tokens]
+        return [check_finite(float(tok) if text else tok) for tok in tokens]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
@@ -218,15 +228,16 @@ def parse_radii(value) -> list:
         parts = value.split(":")
         if len(parts) != 3 or parts[2] != "geometric":
             raise ConfigError("radius range must be 'start:end:geometric'")
-        start, end = _finite_floats(parts[:2], f"radius range {value!r}")
+        start, end = _finite_floats(parts[:2], f"radius range {value!r}", text=True)
         if not (0 < start <= end):
             raise ConfigError("radius range needs 0 < start <= end")
         radii = [start]
         while radii[-1] * 2.0 <= end * (1 + 1e-12):
             radii.append(radii[-1] * 2.0)
         return radii
-    tokens = [tok for tok in value.split(",") if tok.strip()] if isinstance(value, str) else value
-    radii = _finite_floats(tokens, f"radius list {value!r}")
+    text = isinstance(value, str)
+    tokens = [tok for tok in value.split(",") if tok.strip()] if text else value
+    radii = _finite_floats(tokens, f"radius list {value!r}", text)
     if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii must be a nonempty ascending list of positive numbers")
     return radii
@@ -234,8 +245,9 @@ def parse_radii(value) -> list:
 
 def parse_vector(value) -> np.ndarray:
     """A finite 3-vector from 'v1,v2,v3' or from a list of three numbers."""
-    tokens = value.split(",") if isinstance(value, str) else value
-    vec = np.asarray(_finite_floats(tokens, f"vector {value!r}"))
+    text = isinstance(value, str)
+    tokens = value.split(",") if text else value
+    vec = np.asarray(_finite_floats(tokens, f"vector {value!r}", text))
     if vec.shape != (3,):
         raise ConfigError(f"expected three numbers, got {value!r}")
     return vec

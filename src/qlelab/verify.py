@@ -79,11 +79,10 @@ def check_grid_quadrature(rng, L):
 
 
 def check_quadrature_exactness(rng, L):
-    g8, g16 = make_grid(8), make_grid(16)
     rng2 = np.random.default_rng(rng.integers(2 ** 32))
     coef = rng2.standard_normal(81)  # degree <= 8 polynomial on the sphere
-    v8 = g8.integrate_round(g8.Y[:, :81] @ coef)
-    v16 = g16.integrate_round(g16.Y[:, :81] @ coef)
+    v8, v16 = (g.integrate_round(g.synthesis(np.pad(coef, (0, g.n_coef - 81))))
+               for g in (make_grid(8), make_grid(16)))
     worst = abs(v8 - v16)
     return worst <= 1e-12, f"|I_8 - I_16| = {worst:.2e}"
 
@@ -277,9 +276,13 @@ def check_adm_energy_convergence(rng, L):
 
 
 def check_decay(rng, L):
-    vals = decay_constants(composite_data(1.0, (0.3, -0.1, 0.2)))
-    ok = all(np.isfinite(v) for v in vals.values())
-    return ok, ", ".join(f"{k}={v:.2f}" for k, v in vals.items())
+    # Asymptotic flatness: each decay norm settles to a constant, so it moves
+    # by less than 10 % from r = 1e3 to r = 1e4.
+    data = composite_data(1.0, (0.3, -0.1, 0.2))
+    near, far = decay_constants(data, (1e3,)), decay_constants(data, (1e4,))
+    change = max(abs(far[k] - near[k]) / near[k] for k in near)
+    return change <= 0.1, (", ".join(f"{k}={v:.2f}" for k, v in far.items())
+                           + f"; max change from r=1e3 {change:.1e}")
 
 
 def check_flat_zero(rng, L):

@@ -27,6 +27,13 @@ def test_parse_helpers():
         parse_radii("10:5:geometric")
     with pytest.raises(ConfigError):
         parse_vector("1,2")
+    # A config list holds numbers; flag text is parsed.
+    assert parse_radii([25, 50.0]) == [25.0, 50.0]
+    for bad in (["25", 50], [25, True]):
+        with pytest.raises(ConfigError):
+            parse_radii(bad)
+    with pytest.raises(ConfigError):
+        parse_vector([True, 0, 0])
 
 
 def test_energy_rest_frame_equals_mass(tmp_path, capsys):
@@ -263,6 +270,18 @@ def test_infimum_config_a0_shape(tmp_path):
     ("embed", "metric", {"metric": 5}),
     ("energy", "out", {"family": "flat", "radius": 5.0, "band_limit": 8, "out": 5}),
     ("energy", "csv", {"family": "flat", "radius": 5.0, "band_limit": 8, "csv": ["a"]}),
+    ("embed", "tol", {"metric": "metric.json", "tol": 10 ** 400}),
+    # A config number is a JSON number: a bool or a string is not read as one.
+    ("energy", "mass", {"family": "schwarzschild", "mass": True, "radius": 10.0}),
+    ("infimum", "mass", {"family": "schwarzschild", "mass": "1", "radius": 10.0}),
+    ("energy", "radius", {"family": "schwarzschild", "mass": 1.0, "radius": "10"}),
+    ("energy", "momentum", {"family": "composite", "momentum": [True, 0, 0], "radius": 10.0}),
+    ("sweep", "radii", {"family": "flat", "radii": ["25", 50]}),
+    ("sweep", "radii", {"family": "flat", "radii": [25, False]}),
+    ("energy", "a", {"family": "flat", "radius": 10.0, "a": ["0.1", 0, 0]}),
+    ("infimum", "a0", {"family": "flat", "radius": 10.0, "a0": [0, True, 0]}),
+    ("sweep", "a_samples", {"family": "flat", "radii": [25], "a_samples": [[0, "1", 0]]}),
+    ("embed", "tol", {"metric": "metric.json", "tol": "1e-9"}),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, config):
     cfg = tmp_path / "cfg.json"
@@ -270,6 +289,17 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, conf
     assert run([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and "Traceback" not in err
+
+
+def test_number_flags_still_parse(tmp_path):
+    # Flag text is parsed; a config string in the flag form of a list is too.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "composite", "radii": "25,50", "a_samples": [[0, 0, 0]],
+                               "band_limit": 8}))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--mass", "1", "--momentum", "0.1,0,0",
+                "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["25", "50"]
 
 
 @pytest.mark.parametrize("band_limit", ["x", None, 24.5])

@@ -6,7 +6,7 @@ import pytest
 from qlelab.errors import InvalidArgumentError, NotSpacelikeError, SingularPointError
 from qlelab.initialdata import (adm_energy, adm_momentum, bowen_york_p, composite_data,
                                 coordinate_sphere, data_from_config, decay_constants,
-                                flat_data, schwarzschild_data)
+                                derivative, flat_data, schwarzschild_data)
 from qlelab.sphere import ScalarField, integrate, make_grid
 
 
@@ -48,10 +48,77 @@ def test_metric_derivatives_vs_finite_differences():
         e[k] = h
         fd_g = (data.metric(x0 + e) - data.metric(x0 - e)) / (2 * h)
         assert np.abs(data.dmetric(x0)[0, k] - fd_g[0]).max() <= 1e-8
-        fd_dg = (data.dmetric(x0 + e) - data.dmetric(x0 - e)) / (2 * h)
-        assert np.abs(data.d2metric(x0)[0, k] - fd_dg[0]).max() <= 1e-7
         fd_p = (data.extrinsic(x0 + e) - data.extrinsic(x0 - e)) / (2 * h)
         assert np.abs(data.dextrinsic(x0)[0, k] - fd_p[0]).max() <= 1e-8
+
+
+# Hand-written closed forms of the derivatives, oracles of the complex step.
+
+def schwarzschild_dg(m, x):
+    """d_k g_ij = 4 psi^3 d_k psi delta_ij, psi = 1 + m/2r."""
+    r = np.linalg.norm(x, axis=-1)
+    psi = 1.0 + 0.5 * m / r
+    dpsi = -0.5 * m * x / r[..., None] ** 3
+    return (4.0 * psi[..., None] ** 3 * dpsi)[..., :, None, None] * np.eye(3)
+
+
+def schwarzschild_ddg(m, x):
+    """d_l d_k g_ij = (12 psi^2 d_l psi d_k psi + 4 psi^3 d_l d_k psi) delta_ij."""
+    eye = np.eye(3)
+    r = np.linalg.norm(x, axis=-1)[..., None, None]
+    psi = 1.0 + 0.5 * m / r
+    dpsi = -0.5 * m * x[..., None, :] / r ** 3
+    d2psi = -0.5 * m * (eye / r ** 3 - 3.0 * x[..., :, None] * x[..., None, :] / r ** 5)
+    fac = 12.0 * psi ** 2 * dpsi.transpose(0, 2, 1) * dpsi + 4.0 * psi ** 3 * d2psi
+    return fac[..., None, None] * eye
+
+
+def bowen_york_dp(P, x):
+    """d_k p_ij of p_ij = 1.5 [(P_i x_j + P_j x_i - delta_ij <P,x>)/r^3 + x_i x_j <P,x>/r^5]."""
+    eye = np.eye(3)
+    r = np.linalg.norm(x, axis=-1)[:, None, None, None]
+    Px = (x @ P)[:, None, None, None]
+    xk, xi, xj = x[:, :, None, None], x[:, None, :, None], x[:, None, None, :]
+    Pk, Pi, Pj = P[:, None, None], P[None, :, None], P[None, None, :]
+    d_ki, d_kj, d_ij = eye[:, :, None], eye[:, None, :], eye[None, :, :]
+    A = Pi * xj + Pj * xi - d_ij * Px
+    dA = Pi * d_kj + Pj * d_ki - d_ij * Pk
+    B = xi * xj * Px
+    dB = (d_ki * xj + xi * d_kj) * Px + xi * xj * Pk
+    return 1.5 * (dA / r ** 3 - 3.0 * xk * A / r ** 5 + dB / r ** 5 - 5.0 * xk * B / r ** 7)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("r", [2.0, 10.0, 100.0, 1e4])
+def test_complex_step_derivatives_match_closed_forms(grid16, r):
+    P = np.array([0.3, -0.1, 0.2])
+    data = composite_data(1.0, P)
+    x = r * grid16.nhat()
+    assert _rel(data.dmetric(x), schwarzschild_dg(1.0, x)) <= 1e-14
+    assert _rel(data.dextrinsic(x), bowen_york_dp(P, x)) <= 1e-14
+    assert np.abs(schwarzschild_data(1.0).dextrinsic(x)).max() == 0.0
+    assert np.abs(flat_data().dmetric(x)).max() == 0.0
+
+
+def test_decay_second_derivative_matches_closed_form():
+    # decay_constants takes dda as a central difference of dmetric.
+    m, radii = 1.0, (10.0, 100.0, 1000.0)
+    nhat = make_grid(8).nhat()
+    exact = max(r ** 3 * np.abs(schwarzschild_ddg(m, r * nhat)).max() for r in radii)
+    vals = decay_constants(schwarzschild_data(m), radii)
+    assert abs(vals["r3_dda"] - exact) <= 1e-6 * exact
+
+
+def test_derivative_rejects_a_real_valued_function():
+    # A field that drops the imaginary part would get a zero derivative.
+    x = np.array([[1.0, 2.0, 3.0]])
+    with pytest.raises(TypeError):
+        derivative(lambda y: np.abs(y)[..., None, :] * np.eye(3), x)
+    with pytest.raises(TypeError):
+        derivative(lambda y: np.linalg.norm(y, axis=-1), x)
 
 
 def test_bowen_york_properties():
